@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eta_prof::roofline::{self, KernelMeasurement, MachineRoofs};
-use eta_tensor::{init, Matrix, PackedB};
+use eta_tensor::{init, Matrix, PackedB, ParallelConfig, Store};
 use serde_json::Value;
 use std::hint::black_box;
 use std::time::Instant;
@@ -37,6 +37,21 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
+}
+
+/// `a · Bᵀ` through the training step's packed `nt` entry, serial (this
+/// bench times kernels, not row partitioning), into a fresh output.
+fn nt_packed(a: &Matrix, pb: &PackedB) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), pb.n());
+    a.matmul_nt_packed_into(pb, &mut out, Store::Assign, &ParallelConfig::serial())
+        .unwrap();
+    out
+}
+
+/// `a · B` through the training step's packed `nn` entry, serial.
+fn nn_packed(a: &Matrix, pb: &PackedB) -> Matrix {
+    a.par_matmul_nn_packed(pb, &ParallelConfig::serial())
+        .unwrap()
 }
 
 /// Acceptance-anchor shape (the original PR gate).
@@ -104,13 +119,13 @@ fn measure_peak_gflops() -> f64 {
     let b = init::uniform(D, D, -1.0, 1.0, 22);
     let pb = PackedB::from_nt(&b);
     // Warm the caches and the branch predictors.
-    black_box(a.matmul_nt_packed(&pb).unwrap());
+    black_box(nt_packed(&a, &pb));
     let flops = (2 * D * D * D * CALLS_PER_BATCH) as f64;
     let mut best = f64::INFINITY;
     for _ in 0..10 {
         let t0 = Instant::now();
         for _ in 0..CALLS_PER_BATCH {
-            black_box(a.matmul_nt_packed(&pb).unwrap());
+            black_box(nt_packed(&a, &pb));
         }
         best = best.min(t0.elapsed().as_secs_f64());
     }
@@ -157,7 +172,7 @@ fn measure_orientation(orientation: &str, m: usize, k: usize, n: usize) -> Kerne
                     naive.push(t0.elapsed().as_secs_f64());
                 }
                 let t1 = Instant::now();
-                black_box(a.matmul_nt_packed(&pb).unwrap());
+                black_box(nt_packed(&a, &pb));
                 packed.push(t1.elapsed().as_secs_f64());
             }
         }
@@ -172,7 +187,7 @@ fn measure_orientation(orientation: &str, m: usize, k: usize, n: usize) -> Kerne
                     naive.push(t0.elapsed().as_secs_f64());
                 }
                 let t1 = Instant::now();
-                black_box(a.matmul_nn_packed(&pb).unwrap());
+                black_box(nn_packed(&a, &pb));
                 packed.push(t1.elapsed().as_secs_f64());
             }
         }
@@ -180,7 +195,8 @@ fn measure_orientation(orientation: &str, m: usize, k: usize, n: usize) -> Kerne
             // `selfᵀ · rhs`: self is [k, m], rhs is [k, n].
             let a = init::uniform(k, m, -1.0, 1.0, 35);
             let b = init::uniform(k, n, -1.0, 1.0, 36);
-            let pb = PackedB::from_nn(&b);
+            // The step packs this rhs fresh every timestep (it is an
+            // activation), so the dispatcher's pack is part of the cost.
             for rep in 0..PACKED_SAMPLES {
                 if rep < NAIVE_SAMPLES {
                     let t0 = Instant::now();
@@ -188,7 +204,7 @@ fn measure_orientation(orientation: &str, m: usize, k: usize, n: usize) -> Kerne
                     naive.push(t0.elapsed().as_secs_f64());
                 }
                 let t1 = Instant::now();
-                black_box(a.matmul_tn_packed(&pb).unwrap());
+                black_box(a.matmul_tn(&b).unwrap());
                 packed.push(t1.elapsed().as_secs_f64());
             }
         }
@@ -239,7 +255,7 @@ fn bench_gemm_packed_vs_naive(c: &mut Criterion) {
     // timing: bitwise on the scalar path, ULP-bounded under SIMD.
     assert_gemm_matches(
         &a.matmul_nt_naive(&b_nt).unwrap(),
-        &a.matmul_nt_packed(&pb_nt).unwrap(),
+        &nt_packed(&a, &pb_nt),
         &a.map(f32::abs)
             .matmul_nt_naive(&b_nt.map(f32::abs))
             .unwrap(),
@@ -248,7 +264,7 @@ fn bench_gemm_packed_vs_naive(c: &mut Criterion) {
     );
     assert_gemm_matches(
         &a.matmul_nn_naive(&b_nn).unwrap(),
-        &a.matmul_nn_packed(&pb_nn).unwrap(),
+        &nn_packed(&a, &pb_nn),
         &a.map(f32::abs)
             .matmul_nn_naive(&b_nn.map(f32::abs))
             .unwrap(),
@@ -262,20 +278,17 @@ fn bench_gemm_packed_vs_naive(c: &mut Criterion) {
         bench.iter(|| black_box(a.matmul_nt_naive(&b_nt).unwrap()));
     });
     group.bench_function("nt_packed", |bench| {
-        bench.iter(|| black_box(a.matmul_nt_packed(&pb_nt).unwrap()));
+        bench.iter(|| black_box(nt_packed(&a, &pb_nt)));
     });
     group.bench_function("nt_packed_including_pack", |bench| {
         // What an uncached caller pays: pack the panels every call.
-        bench.iter(|| {
-            let pb = PackedB::from_nt(&b_nt);
-            black_box(a.matmul_nt_packed(&pb).unwrap())
-        });
+        bench.iter(|| black_box(a.matmul_nt(&b_nt).unwrap()));
     });
     group.bench_function("nn_naive", |bench| {
         bench.iter(|| black_box(a.matmul_nn_naive(&b_nn).unwrap()));
     });
     group.bench_function("nn_packed", |bench| {
-        bench.iter(|| black_box(a.matmul_nn_packed(&pb_nn).unwrap()));
+        bench.iter(|| black_box(nn_packed(&a, &pb_nn)));
     });
     group.finish();
 

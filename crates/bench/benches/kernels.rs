@@ -59,19 +59,6 @@ fn bench_sparse(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul_nt_parallel_256x256");
-    group.sample_size(10);
-    let a = init::uniform(256, 256, -1.0, 1.0, 21);
-    let b = init::uniform(256, 256, -1.0, 1.0, 22);
-    for &threads in &[1usize, 2, 4] {
-        group.bench_function(format!("threads_{threads}"), |bench| {
-            bench.iter(|| black_box(a.matmul_nt_par(&b, threads).unwrap()));
-        });
-    }
-    group.finish();
-}
-
 fn bench_outer(c: &mut Criterion) {
     let mut group = c.benchmark_group("outer_product");
     group.sample_size(20);
@@ -88,7 +75,6 @@ criterion_group!(
     bench_matmul,
     bench_elementwise,
     bench_sparse,
-    bench_parallel_matmul,
     bench_outer
 );
 criterion_main!(benches);

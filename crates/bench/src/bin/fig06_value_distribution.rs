@@ -8,38 +8,50 @@
 
 use eta_bench::table::pct;
 use eta_bench::{scaled_config, scaled_task, Table, SEED};
-use eta_lstm_core::cell::{self, P1Dense};
-use eta_lstm_core::{Task, Trainer, TrainingStrategy};
-use eta_tensor::Matrix;
+use eta_lstm_core::cell::P1Dense;
+use eta_lstm_core::layer::{Instruments, LayerTape, StorageMode, TapeEntry};
+use eta_lstm_core::{Task, Trainer, TrainingStrategy, Workspace};
+use eta_tensor::{Matrix, ParallelConfig};
 
 /// Collects |value| samples of the five FW intermediates and the six
-/// P1 products by running the model's layers over one task batch.
+/// P1 products by running the model's layers over one task batch
+/// (dense storage, so the tape keeps every cell's record).
 fn collect(trainer: &Trainer, task: &dyn Task) -> (Vec<f32>, Vec<f32>) {
-    let batch = task.batch(0, 0);
-    let model = trainer.model();
+    let kernel = ParallelConfig::serial();
+    let instruments = Instruments::new();
+    let mut ws = Workspace::new();
     let mut fw_samples = Vec::new();
     let mut p1_samples = Vec::new();
-    let mut inputs = batch.inputs.clone();
-    for layer in model.layers() {
-        let batch_n = inputs[0].rows();
-        let h = layer.hidden();
-        let mut h_prev = Matrix::zeros(batch_n, h);
-        let mut s_prev = Matrix::zeros(batch_n, h);
-        let mut next_inputs = Vec::with_capacity(inputs.len());
-        for x in &inputs {
-            let fw = cell::forward(&layer.params, x, &h_prev, &s_prev).expect("forward");
+    let mut inputs = task.batch(0, 0).inputs;
+    for layer in trainer.model().layers() {
+        let LayerTape { entries, hs, .. } = layer
+            .forward_sequence_ws(
+                &inputs,
+                StorageMode::Dense,
+                &[],
+                None,
+                &kernel,
+                &instruments,
+                None,
+                &mut ws,
+            )
+            .expect("forward");
+        let zero = Matrix::zeros(inputs[0].rows(), layer.hidden());
+        let mut s_prev = &zero;
+        for entry in &entries {
+            let TapeEntry::Dense(fw) = entry else {
+                unreachable!("dense storage with no skip plan keeps every record")
+            };
             for m in [&fw.i, &fw.f, &fw.c, &fw.o, &fw.s] {
                 fw_samples.extend(m.as_slice().iter().map(|v| v.abs()));
             }
-            let p1 = P1Dense::compute(&fw, &s_prev).expect("p1");
+            let p1 = P1Dense::compute(fw, s_prev).expect("p1");
             for m in p1.streams() {
                 p1_samples.extend(m.as_slice().iter().map(|v| v.abs()));
             }
-            next_inputs.push(fw.h.clone());
-            h_prev = fw.h;
-            s_prev = fw.s;
+            s_prev = &fw.s;
         }
-        inputs = next_inputs;
+        inputs = hs;
     }
     (fw_samples, p1_samples)
 }

@@ -5,12 +5,16 @@
 //! Companion to Fig. 5/Fig. 12: shows what recompute checkpointing plus
 //! narrow storage (k = 4, bf16) adds on top of the paper's MS1×MS2
 //! combination.
+//!
+//! Also regenerates `results/ms3_strategy_matrix.txt`, the GiB footprint
+//! matrix `tests/ms3_footprint.rs` compares against the model.
 
 use eta_bench::table::{gb, pct};
 use eta_bench::{BenchEffects, Table};
 use eta_lstm_core::strategy::StrategyParams;
 use eta_lstm_core::TrainingStrategy;
 use eta_memsim::model::{footprint, traffic, LstmShape, OptEffects};
+use std::fmt::Write as _;
 
 /// Representative measured effects (Fig. 6 / Table II neighbourhood).
 const P1_DENSITY: f64 = 0.35;
@@ -44,6 +48,15 @@ fn main() {
         &["strategy", "LN5", "LN6", "LN7", "LN8", "LN7 reduction"],
     );
 
+    const GIB: f64 = (1u64 << 30) as f64;
+    let mut matrix = format!(
+        "MS3 strategy matrix — peak footprint per training iteration (GiB)\n\
+         p1_density={P1_DENSITY}, skip_fraction={SKIP_FRACTION}, \
+         MS3: k=4, bf16 storage (StrategyParams defaults)\n\n\
+         {:<12} {:>8} {:>8} {:>8} {:>8} {:>10}\n",
+        "strategy", "LN5", "LN6", "LN7", "LN8", "LN7 red."
+    );
+
     let ln7 = &shapes[2].1;
     let base_fp = footprint(ln7, &OptEffects::baseline()).total();
     let base_tr = traffic(ln7, &OptEffects::baseline()).total();
@@ -64,6 +77,16 @@ fn main() {
                 fps[2] as f64,
             );
         }
+        let _ = writeln!(
+            matrix,
+            "{:<12} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>9.1}%",
+            strategy.to_string(),
+            fps[0] as f64 / GIB,
+            fps[1] as f64 / GIB,
+            fps[2] as f64 / GIB,
+            fps[3] as f64 / GIB,
+            (1.0 - fps[2] as f64 / base_fp as f64) * 100.0,
+        );
         fp_table.row(&[
             strategy.to_string(),
             gb(fps[0]),
@@ -88,6 +111,16 @@ fn main() {
         "\ncontract: Combine-All <= each component per category; LN7\n\
          footprint reduction >= 40% (gated by tests/ms3_footprint.rs)."
     );
+    // The artifact goes to the tree, the note to stderr: stdout stays
+    // what `results/ms3_matrix.txt` records.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/ms3_strategy_matrix.txt"
+    );
+    match std::fs::write(path, matrix) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
     if let Some(t) = telemetry {
         t.flush();
     }

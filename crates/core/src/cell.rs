@@ -14,7 +14,7 @@
 //! Gate layout throughout: the `4H`-wide dimension is ordered
 //! `[input | forget | cell | output]`.
 
-use crate::workspace::{BwdBuffers, LayerPanels, P1Buffers, Workspace};
+use crate::workspace::{BwdBuffers, LayerPanels, P1Buffers};
 use crate::{LstmError, Result};
 use eta_tensor::{activation, init, Matrix, ParallelConfig, Store};
 use serde::{Deserialize, Serialize};
@@ -93,8 +93,8 @@ impl CellForward {
         self.i.size_bytes() * 5
     }
 
-    /// An empty (0×0) record to hand to [`forward_ws_into`] — the first
-    /// fill sizes every field; later fills reuse the buffers.
+    /// An empty (0×0) record to hand to [`forward_ws`] — the first fill
+    /// sizes every field; later fills reuse the buffers.
     pub fn empty() -> Self {
         CellForward {
             i: Matrix::zeros(0, 0),
@@ -257,7 +257,10 @@ pub struct CellBackwardOut {
     pub ds_prev: Matrix,
 }
 
-/// Forward pass of one cell (paper Eq. 1 + state/output updates).
+/// Reference forward pass of one cell (paper Eq. 1 + state/output
+/// updates): the unfused pipeline over the unpacked GEMM dispatchers,
+/// serial. Production code runs [`forward_ws`]; this is the oracle the
+/// tests compare it against.
 ///
 /// `x` is `[batch, in]`, `h_prev` and `s_prev` are `[batch, H]`.
 ///
@@ -271,28 +274,10 @@ pub fn forward(
     h_prev: &Matrix,
     s_prev: &Matrix,
 ) -> Result<CellForward> {
-    forward_with(params, x, h_prev, s_prev, &ParallelConfig::serial())
-}
-
-/// [`forward`] with an explicit kernel-parallelism config: the two GEMMs
-/// run row-panelled when `kernel` allows it, with bit-identical results
-/// (see [`eta_tensor::parallel`]).
-///
-/// # Errors
-///
-/// Returns a tensor shape error if the operand shapes are inconsistent
-/// with `params`.
-pub fn forward_with(
-    params: &CellParams,
-    x: &Matrix,
-    h_prev: &Matrix,
-    s_prev: &Matrix,
-    kernel: &ParallelConfig,
-) -> Result<CellForward> {
     let h = params.hidden();
     // preact = x·Wᵀ + h_prev·Uᵀ + b : [batch, 4H]
-    let mut preact = x.par_matmul_nt(&params.w, kernel)?;
-    preact.add_assign(&h_prev.par_matmul_nt(&params.u, kernel)?)?;
+    let mut preact = x.matmul_nt(&params.w)?;
+    preact.add_assign(&h_prev.matmul_nt(&params.u)?)?;
     preact.add_row_broadcast(&params.b)?;
 
     let i = preact.col_slice(0, h).map(activation::sigmoid);
@@ -315,7 +300,8 @@ pub fn forward_with(
     })
 }
 
-/// Backward pass of one cell expressed over the P1 products.
+/// Reference backward pass of one cell expressed over the P1 products
+/// (unfused, serial — the oracle for [`backward_ws`]).
 ///
 /// `dh_total` is `δY_t + δH_t` (output gradient from the layer above plus
 /// context gradient from the next timestep); `ds` is the incoming state
@@ -333,35 +319,6 @@ pub fn backward(
     ds: &Matrix,
     grads: &mut CellGrads,
 ) -> Result<CellBackwardOut> {
-    backward_with(
-        params,
-        p1,
-        x,
-        h_prev,
-        dh_total,
-        ds,
-        grads,
-        &ParallelConfig::serial(),
-    )
-}
-
-/// [`backward`] with an explicit kernel-parallelism config for the four
-/// BP-MatMul GEMMs (Eq. 2–3). Bit-identical to the serial path.
-///
-/// # Errors
-///
-/// Returns a tensor shape error on inconsistent operand shapes.
-#[allow(clippy::too_many_arguments)]
-pub fn backward_with(
-    params: &CellParams,
-    p1: &P1Dense,
-    x: &Matrix,
-    h_prev: &Matrix,
-    dh_total: &Matrix,
-    ds: &Matrix,
-    grads: &mut CellGrads,
-    kernel: &ParallelConfig,
-) -> Result<CellBackwardOut> {
     // BP-EW-P2: combine incoming gradients with the P1 products.
     let do_hat = dh_total.hadamard(&p1.p_o)?;
     let mut ds_acc = ds.clone();
@@ -375,15 +332,13 @@ pub fn backward_with(
     let dgates = di_hat.hcat(&df_hat)?.hcat(&dc_hat)?.hcat(&do_hat)?;
 
     // BP-MatMul (Eq. 2): input and context gradients.
-    let dx = dgates.par_matmul_nn(&params.w, kernel)?;
-    let dh_prev = dgates.par_matmul_nn(&params.u, kernel)?;
+    let dx = dgates.matmul_nn(&params.w)?;
+    let dh_prev = dgates.matmul_nn(&params.u)?;
 
     // BP-MatMul (Eq. 3): weight gradients (outer products summed over
     // the batch).
-    grads.dw.add_assign(&dgates.par_matmul_tn(x, kernel)?)?;
-    grads
-        .du
-        .add_assign(&dgates.par_matmul_tn(h_prev, kernel)?)?;
+    grads.dw.add_assign(&dgates.matmul_tn(x)?)?;
+    grads.du.add_assign(&dgates.matmul_tn(h_prev)?)?;
     for r in 0..dgates.rows() {
         for (acc, &g) in grads.db.iter_mut().zip(dgates.row(r).iter()) {
             *acc += g;
@@ -504,13 +459,18 @@ fn gemm_label(
     }
 }
 
-/// Zero-alloc forward pass of one cell against pre-packed weight
-/// panels: the preactivation GEMM writes into the workspace buffer,
-/// and the recurrent GEMM's store pass fuses `+ h_prev·Uᵀ + b` and the
-/// gate activation into its epilogue. The only allocations are the
-/// tape-owned outputs. Bit-identical to [`forward_with`] — same packed
-/// kernels, same `(x·Wᵀ + h·Uᵀ) + b` association, same elementwise
-/// state update order.
+/// Forward pass of one cell against pre-packed weight panels, written
+/// into a caller-owned [`CellForward`]: the preactivation GEMM writes
+/// into `preact`, and the recurrent GEMM's store pass fuses
+/// `+ h_prev·Uᵀ + b` and the gate activation into its epilogue. `out`'s
+/// fields are sized on first fill and reused afterwards, so the
+/// sequence loop hands in a fresh record the tape will own while the
+/// MS3 recompute refills its segment cache allocation-free. Takes the
+/// bare preactivation buffer rather than the whole workspace because
+/// that recompute borrows the workspace's `preact` and segment cache
+/// as disjoint fields. Bit-identical to [`forward`] on the scalar tier
+/// — same packed kernels, same `(x·Wᵀ + h·Uᵀ) + b` association, same
+/// elementwise state update order.
 ///
 /// # Errors
 ///
@@ -518,133 +478,6 @@ fn gemm_label(
 /// `params`/`panels`.
 #[allow(clippy::too_many_arguments)]
 pub fn forward_ws(
-    params: &CellParams,
-    panels: &LayerPanels,
-    x: &Matrix,
-    h_prev: &Matrix,
-    s_prev: &Matrix,
-    kernel: &ParallelConfig,
-    ws: &mut Workspace,
-    instruments: &crate::layer::Instruments,
-) -> Result<CellForward> {
-    let h = params.hidden();
-    let batch = x.rows();
-    if s_prev.rows() != batch || s_prev.cols() != h {
-        return Err(LstmError::BatchShape {
-            detail: format!(
-                "forward_ws: s_prev is {}x{}, expected {batch}x{h}",
-                s_prev.rows(),
-                s_prev.cols()
-            ),
-        });
-    }
-    ws.ensure_forward(batch, h);
-
-    {
-        let _g = instruments.scope(gemm_label(
-            "gemm_simd",
-            "gemm",
-            batch,
-            x.cols(),
-            panels.w_fwd.n(),
-        ));
-        x.matmul_nt_packed_into(&panels.w_fwd, &mut ws.preact, Store::Assign, kernel)?;
-    }
-    let b = &params.b;
-    let tanh_cols = 2 * h..3 * h;
-    {
-        let _g = instruments.scope(gemm_label(
-            "gemm_epilogue_simd",
-            "gemm_epilogue",
-            batch,
-            h_prev.cols(),
-            panels.u_fwd.n(),
-        ));
-        h_prev.matmul_nt_packed_epilogue(&panels.u_fwd, &mut ws.preact, kernel, |j, v| {
-            debug_assert!(j < b.len());
-            let z = v + b[j];
-            if tanh_cols.contains(&j) {
-                activation::tanh(z)
-            } else {
-                activation::sigmoid(z)
-            }
-        })?;
-    }
-
-    // The activations are already applied; the gate matrices are plain
-    // column copies out of the fused preactivation buffer.
-    let i = ws.preact.col_slice(0, h);
-    let f = ws.preact.col_slice(h, h);
-    let c = ws.preact.col_slice(2 * h, h);
-    let o = ws.preact.col_slice(3 * h, h);
-
-    // s = f ⊙ s_prev + i ⊙ c, fused (two muls + one add per element —
-    // the same scalar sequence as the hadamard/add pipeline).
-    let mut s = Matrix::zeros(batch, h);
-    for ((dst, (&fv, &sp)), (&iv, &cv)) in s
-        .as_mut_slice()
-        .iter_mut()
-        .zip(f.as_slice().iter().zip(s_prev.as_slice()))
-        .zip(i.as_slice().iter().zip(c.as_slice()))
-    {
-        *dst = fv * sp + iv * cv;
-    }
-    let tanh_s = s.map(activation::tanh);
-    let h_out = o.hadamard(&tanh_s)?;
-
-    Ok(CellForward {
-        i,
-        f,
-        c,
-        o,
-        s,
-        tanh_s,
-        h: h_out,
-    })
-}
-
-/// [`forward_ws`] writing into a caller-owned [`CellForward`] instead of
-/// allocating one — the MS3 recompute path replays dropped tape segments
-/// through this so backward stays allocation-free after the segment
-/// buffer warms up. Runs the exact same packed GEMMs, fused epilogue and
-/// elementwise scalar sequences as [`forward_ws`], so the recomputed
-/// record is bit-identical to the one the forward pass dropped.
-///
-/// # Errors
-///
-/// Returns a shape error if the operand shapes are inconsistent with
-/// `params`/`panels`.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ws_into(
-    params: &CellParams,
-    panels: &LayerPanels,
-    x: &Matrix,
-    h_prev: &Matrix,
-    s_prev: &Matrix,
-    kernel: &ParallelConfig,
-    ws: &mut Workspace,
-    instruments: &crate::layer::Instruments,
-    out: &mut CellForward,
-) -> Result<()> {
-    forward_into_with_preact(
-        params,
-        panels,
-        x,
-        h_prev,
-        s_prev,
-        kernel,
-        &mut ws.preact,
-        instruments,
-        out,
-    )
-}
-
-/// [`forward_ws_into`] against a bare preactivation buffer instead of a
-/// whole [`Workspace`] — the MS3 segment recompute borrows the
-/// workspace's `preact` and segment cache as disjoint fields, so it
-/// cannot hand the full workspace back in.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_into_with_preact(
     params: &CellParams,
     panels: &LayerPanels,
     x: &Matrix,
@@ -660,7 +493,7 @@ pub(crate) fn forward_into_with_preact(
     if s_prev.rows() != batch || s_prev.cols() != h {
         return Err(LstmError::BatchShape {
             detail: format!(
-                "forward_ws_into: s_prev is {}x{}, expected {batch}x{h}",
+                "forward_ws: s_prev is {}x{}, expected {batch}x{h}",
                 s_prev.rows(),
                 s_prev.cols()
             ),
@@ -722,8 +555,8 @@ pub(crate) fn forward_into_with_preact(
         out.o.row_mut(r).copy_from_slice(&row[3 * h..4 * h]);
     }
 
-    // s = f ⊙ s_prev + i ⊙ c — the same fused scalar sequence as
-    // `forward_ws`.
+    // s = f ⊙ s_prev + i ⊙ c, fused (two muls + one add per element —
+    // the same scalar sequence as the hadamard/add pipeline).
     for ((dst, (&fv, &sp)), (&iv, &cv)) in out
         .s
         .as_mut_slice()
@@ -753,7 +586,7 @@ pub(crate) fn forward_into_with_preact(
 /// the `[batch, 4H]` gate-gradient block are written in place (no
 /// `clone`, no `hcat`), and the weight gradients accumulate directly
 /// into `grads` via the fused-accumulate GEMM. Bit-identical to
-/// [`backward_with`].
+/// [`backward`] on the scalar tier.
 ///
 /// # Errors
 ///
@@ -873,6 +706,7 @@ pub fn backward_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::Workspace;
 
     fn setup(batch: usize, input: usize, hidden: usize) -> (CellParams, Matrix, Matrix, Matrix) {
         let params = CellParams::new(input, hidden, 7);
@@ -1041,6 +875,30 @@ mod tests {
         assert_eq!(fw.stored_bytes(), 5 * (2 * 4 * 4) as u64);
     }
 
+    /// [`forward_ws`] into a fresh record (what the sequence loop does).
+    fn fused_forward(
+        params: &CellParams,
+        panels: &LayerPanels,
+        (x, h_prev, s_prev): (&Matrix, &Matrix, &Matrix),
+        kernel: &ParallelConfig,
+        ws: &mut Workspace,
+    ) -> Result<CellForward> {
+        let inst = crate::layer::Instruments::new();
+        let mut out = CellForward::empty();
+        forward_ws(
+            params,
+            panels,
+            x,
+            h_prev,
+            s_prev,
+            kernel,
+            &mut ws.preact,
+            &inst,
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
     /// The PR 5 zero-alloc contract: the workspace/panel cell paths are
     /// **bit-identical** to the reference implementations, including
     /// when the workspace buffers are reused across calls and when the
@@ -1051,25 +909,19 @@ mod tests {
             [(1, 3, 4, false), (3, 5, 8, false), (4, 20, 40, true)]
         {
             let (params, x, h_prev, s_prev) = setup(batch, input, hidden);
-            let panels = LayerPanels::pack(&params);
             let mut kernel = ParallelConfig::with_threads(2);
             if force_par {
                 kernel.min_kernel_flops = 1;
             }
+            let panels = LayerPanels::pack_with(&params, &kernel);
             let mut ws = Workspace::new();
 
-            let reference = forward_with(&params, &x, &h_prev, &s_prev, &kernel).unwrap();
-            let inst = crate::layer::Instruments::new();
-            let fused = forward_ws(
-                &params, &panels, &x, &h_prev, &s_prev, &kernel, &mut ws, &inst,
-            )
-            .unwrap();
+            let reference = forward(&params, &x, &h_prev, &s_prev).unwrap();
+            let ops = (&x, &h_prev, &s_prev);
+            let fused = fused_forward(&params, &panels, ops, &kernel, &mut ws).unwrap();
             assert_eq!(fused, reference);
             // Reuse: the second call overwrites stale buffer contents.
-            let again = forward_ws(
-                &params, &panels, &x, &h_prev, &s_prev, &kernel, &mut ws, &inst,
-            )
-            .unwrap();
+            let again = fused_forward(&params, &panels, ops, &kernel, &mut ws).unwrap();
             assert_eq!(again, reference);
 
             let p1 = P1Dense::compute(&reference, &s_prev).unwrap();
@@ -1083,9 +935,9 @@ mod tests {
             let dh = init::uniform(batch, hidden, -1.0, 1.0, 23);
             let ds = init::uniform(batch, hidden, -1.0, 1.0, 29);
             let mut g_ref = CellGrads::zeros_like(&params);
-            let out_ref =
-                backward_with(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref, &kernel).unwrap();
+            let out_ref = backward(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref).unwrap();
 
+            let inst = crate::layer::Instruments::new();
             let mut g_ws = CellGrads::zeros_like(&params);
             let p1_view = P1Ref {
                 p_i: &ws.p1.p_i,
@@ -1127,65 +979,46 @@ mod tests {
             )
             .unwrap();
             let mut g_ref2 = g_ref.clone();
-            let out_ref2 =
-                backward_with(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref2, &kernel).unwrap();
+            let out_ref2 = backward(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref2).unwrap();
             assert_eq!(out_ws2, out_ref2);
             assert_eq!(g_ws, g_ref2);
         }
     }
 
+    /// A caller-owned record refilled over stale contents of a
+    /// *different* shape (what the MS3 segment cache does) resizes and
+    /// stays exact.
     #[test]
-    fn forward_ws_into_bit_identical_and_reusable() {
-        for (batch, input, hidden, force_par) in
-            [(1, 3, 4, false), (3, 5, 8, false), (4, 20, 40, true)]
-        {
-            let (params, x, h_prev, s_prev) = setup(batch, input, hidden);
-            let panels = LayerPanels::pack(&params);
-            let mut kernel = ParallelConfig::with_threads(2);
-            if force_par {
-                kernel.min_kernel_flops = 1;
-            }
-            let mut ws = Workspace::new();
-            let inst = crate::layer::Instruments::new();
-
-            let reference = forward_ws(
-                &params, &panels, &x, &h_prev, &s_prev, &kernel, &mut ws, &inst,
+    fn forward_ws_refills_a_reused_record_exactly() {
+        let (batch, input, hidden) = (3, 5, 8);
+        let kernel = ParallelConfig::serial();
+        let inst = crate::layer::Instruments::new();
+        let mut ws = Workspace::new();
+        let mut out = CellForward::empty();
+        for rows in [batch, batch + 1, batch] {
+            let (params, x, h_prev, s_prev) = setup(rows, input, hidden);
+            let panels = LayerPanels::pack_with(&params, &kernel);
+            forward_ws(
+                &params,
+                &panels,
+                &x,
+                &h_prev,
+                &s_prev,
+                &kernel,
+                &mut ws.preact,
+                &inst,
+                &mut out,
             )
             .unwrap();
-
-            let mut out = CellForward::empty();
-            forward_ws_into(
-                &params, &panels, &x, &h_prev, &s_prev, &kernel, &mut ws, &inst, &mut out,
-            )
-            .unwrap();
-            assert_eq!(out, reference);
-
-            // Refill over stale contents of a *different* shape: buffers
-            // resize and the result stays exact.
-            let (params2, x2, h2, s2) = setup(batch + 1, input, hidden);
-            let panels2 = LayerPanels::pack(&params2);
-            let reference2 =
-                forward_ws(&params2, &panels2, &x2, &h2, &s2, &kernel, &mut ws, &inst).unwrap();
-            forward_ws_into(
-                &params2, &panels2, &x2, &h2, &s2, &kernel, &mut ws, &inst, &mut out,
-            )
-            .unwrap();
-            assert_eq!(out, reference2);
-
-            // Shape errors propagate like forward_ws.
-            let bad_s = Matrix::zeros(batch, hidden + 1);
-            assert!(forward_ws_into(
-                &params, &panels, &x, &h_prev, &bad_s, &kernel, &mut ws, &inst, &mut out
-            )
-            .is_err());
+            assert_eq!(out, forward(&params, &x, &h_prev, &s_prev).unwrap());
         }
     }
 
     #[test]
-    fn workspace_backward_rejects_mismatched_shapes() {
+    fn workspace_paths_reject_mismatched_shapes() {
         let (params, x, h_prev, s_prev) = setup(2, 3, 4);
-        let panels = LayerPanels::pack(&params);
         let kernel = ParallelConfig::serial();
+        let panels = LayerPanels::pack_with(&params, &kernel);
         let fw = forward(&params, &x, &h_prev, &s_prev).unwrap();
         let p1 = P1Dense::compute(&fw, &s_prev).unwrap();
         let dh = Matrix::zeros(2, 4);
@@ -1208,9 +1041,7 @@ mod tests {
         assert!(err.is_err());
         let bad_s = Matrix::zeros(3, 4);
         let mut ws = Workspace::new();
-        assert!(
-            forward_ws(&params, &panels, &x, &h_prev, &bad_s, &kernel, &mut ws, &inst).is_err()
-        );
+        assert!(fused_forward(&params, &panels, (&x, &h_prev, &bad_s), &kernel, &mut ws).is_err());
         assert!(compute_p1_into(&mut ws.p1, &fw, &bad_s).is_err());
     }
 }

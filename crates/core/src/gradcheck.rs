@@ -7,6 +7,7 @@ use crate::layer::Instruments;
 use crate::loss::Targets;
 use crate::model::{LstmModel, StepPlan};
 use crate::parallel::{self, Parallelism};
+use crate::workspace::WorkspacePool;
 use crate::Result;
 use eta_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -30,39 +31,15 @@ impl GradCheck {
 
 /// Checks the analytic gradients of a full training step against
 /// central finite differences on `samples` randomly-chosen weight
-/// entries (spread across layers and the head).
+/// entries (spread across layers and the head), under an arbitrary
+/// storage/skip plan and execution policy: both the analytic gradients
+/// and the perturbed losses run through
+/// [`parallel::train_step_sharded_ws`], so the check validates the
+/// exact code path a [`crate::Trainer`] with the same settings uses —
+/// MS1 compression, MS2 skipping, sharded reduction and all.
 ///
 /// `eps` is the perturbation size; ~5e-3 balances truncation against
 /// `f32` roundoff for typical models.
-///
-/// # Errors
-///
-/// Propagates shape errors from malformed inputs.
-pub fn check_step(
-    model: &LstmModel,
-    xs: &[Matrix],
-    targets: &Targets,
-    samples: usize,
-    eps: f32,
-    seed: u64,
-) -> Result<GradCheck> {
-    check_step_with(
-        model,
-        xs,
-        targets,
-        &StepPlan::baseline(),
-        &Parallelism::serial(),
-        samples,
-        eps,
-        seed,
-    )
-}
-
-/// [`check_step`] under an arbitrary storage/skip plan and execution
-/// policy: both the analytic gradients and the perturbed losses run
-/// through [`parallel::train_step_sharded`], so the check validates the
-/// exact code path a [`crate::Trainer`] with the same settings uses —
-/// MS1 compression, MS2 skipping, sharded reduction and all.
 ///
 /// # Errors
 ///
@@ -79,14 +56,16 @@ pub fn check_step_with(
     seed: u64,
 ) -> Result<GradCheck> {
     let instruments = Instruments::new();
-    let result = parallel::train_step_sharded(model, xs, targets, plan, &instruments, par)?;
+    let mut pool = WorkspacePool::new();
+    let mut step = |m: &LstmModel| {
+        parallel::train_step_sharded_ws(m, xs, targets, plan, &instruments, par, None, &mut pool)
+    };
+    let result = step(model)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut max_rel = 0.0f64;
     let layers = model.layers().len();
 
-    let loss_with = |m: &LstmModel| -> Result<f64> {
-        Ok(parallel::train_step_sharded(m, xs, targets, plan, &instruments, par)?.loss)
-    };
+    let mut loss_with = |m: &LstmModel| -> Result<f64> { Ok(step(m)?.loss) };
 
     for _ in 0..samples {
         // Pick a parameter uniformly over {layer W, layer U, head W}.
@@ -161,6 +140,18 @@ mod tests {
     use crate::config::LstmConfig;
     use eta_tensor::init;
 
+    /// Baseline plan, serial engine.
+    fn check_baseline(
+        model: &LstmModel,
+        xs: &[Matrix],
+        targets: &Targets,
+        samples: usize,
+        seed: u64,
+    ) -> GradCheck {
+        let (plan, par) = (StepPlan::baseline(), Parallelism::serial());
+        check_step_with(model, xs, targets, &plan, &par, samples, 5e-3, seed).unwrap()
+    }
+
     fn model_and_batch() -> (LstmModel, Vec<Matrix>, Targets) {
         let cfg = LstmConfig::builder()
             .input_size(5)
@@ -181,7 +172,7 @@ mod tests {
     #[test]
     fn full_model_gradients_pass() {
         let (model, xs, targets) = model_and_batch();
-        let check = check_step(&model, &xs, &targets, 24, 5e-3, 1).unwrap();
+        let check = check_baseline(&model, &xs, &targets, 24, 1);
         assert!(
             check.passes(0.05),
             "max relative gradient error {}",
@@ -194,7 +185,7 @@ mod tests {
     fn per_timestamp_gradients_pass() {
         let (model, xs, _) = model_and_batch();
         let targets = Targets::StepClasses(vec![vec![0, 1, 2]; 4]);
-        let check = check_step(&model, &xs, &targets, 16, 5e-3, 2).unwrap();
+        let check = check_baseline(&model, &xs, &targets, 16, 2);
         assert!(check.passes(0.05), "{}", check.max_rel_error);
     }
 
@@ -202,7 +193,7 @@ mod tests {
     fn regression_gradients_pass() {
         let (model, xs, _) = model_and_batch();
         let targets = Targets::Regression(init::uniform(3, 3, -0.5, 0.5, 50));
-        let check = check_step(&model, &xs, &targets, 16, 5e-3, 3).unwrap();
+        let check = check_baseline(&model, &xs, &targets, 16, 3);
         assert!(check.passes(0.05), "{}", check.max_rel_error);
     }
 
@@ -215,7 +206,7 @@ mod tests {
         let other = LstmModel::new(model.config(), 12345);
         let instruments = Instruments::new();
         let wrong = other
-            .train_step(&xs, &targets, &StepPlan::baseline(), &instruments)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &instruments)
             .unwrap();
         // Compare other's analytic gradient against model's numeric one
         // at a fixed coordinate — the mismatch should be gross.
@@ -232,11 +223,11 @@ mod tests {
             .w
             .set(0, 0, model.layers()[0].params.w.get(0, 0) - eps);
         let lp = plus
-            .train_step(&xs, &targets, &StepPlan::baseline(), &instruments)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &instruments)
             .unwrap()
             .loss;
         let lm = minus
-            .train_step(&xs, &targets, &StepPlan::baseline(), &instruments)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &instruments)
             .unwrap()
             .loss;
         let numeric = (lp - lm) / (2.0 * eps as f64);

@@ -6,10 +6,12 @@
 //! The streaming path must produce exactly the same outputs as the
 //! batch path when fed the same sequence — a property the tests check.
 
-use crate::cell;
+use crate::cell::{self, CellForward};
+use crate::layer::Instruments;
 use crate::model::LstmModel;
+use crate::workspace::ModelPanels;
 use crate::{LstmError, Result};
-use eta_tensor::Matrix;
+use eta_tensor::{Matrix, ParallelConfig};
 
 /// Carried recurrent state (`h`, `s` per layer) for streaming
 /// inference.
@@ -58,6 +60,13 @@ impl StreamingState {
 pub struct StreamingSession<'a> {
     model: &'a LstmModel,
     state: StreamingState,
+    /// The model's weights packed once at session open (the session
+    /// borrows the model, so they cannot go stale).
+    panels: ModelPanels,
+    /// Reused preactivation buffer, cell record and (unobserved) hooks.
+    preact: Matrix,
+    fw: CellForward,
+    instruments: Instruments,
 }
 
 impl<'a> StreamingSession<'a> {
@@ -65,6 +74,10 @@ impl<'a> StreamingSession<'a> {
     pub fn new(model: &'a LstmModel, batch: usize) -> Self {
         StreamingSession {
             state: StreamingState::zeros(model, batch),
+            panels: ModelPanels::pack_with(model, &ParallelConfig::serial()),
+            preact: Matrix::zeros(0, 0),
+            fw: CellForward::empty(),
+            instruments: Instruments::new(),
             model,
         }
     }
@@ -99,16 +112,31 @@ impl<'a> StreamingSession<'a> {
                 ),
             });
         }
-        let mut current = x.clone();
-        debug_assert_eq!(self.state.h.len(), self.model.layers().len());
-        debug_assert_eq!(self.state.s.len(), self.model.layers().len());
-        for (l, layer) in self.model.layers().iter().enumerate() {
-            let fw = cell::forward(&layer.params, &current, &self.state.h[l], &self.state.s[l])?;
-            current = fw.h.clone();
-            self.state.h[l] = fw.h;
-            self.state.s[l] = fw.s;
+        let kernel = ParallelConfig::serial();
+        let StreamingState { h, s } = &mut self.state;
+        let layers = self.model.layers().iter().zip(&self.panels.layers);
+        for (l, ((layer, panels), s_l)) in layers.zip(s.iter_mut()).enumerate() {
+            // Layer l reads this timestep's output of layer l − 1,
+            // already swapped into the state below.
+            let (below, at) = h.split_at_mut(l);
+            let Some(h_l) = at.first_mut() else {
+                unreachable!("one state slot per layer")
+            };
+            cell::forward_ws(
+                &layer.params,
+                panels,
+                below.last().unwrap_or(x),
+                h_l,
+                s_l,
+                &kernel,
+                &mut self.preact,
+                &self.instruments,
+                &mut self.fw,
+            )?;
+            std::mem::swap(h_l, &mut self.fw.h);
+            std::mem::swap(s_l, &mut self.fw.s);
         }
-        self.model.head().forward(&current)
+        self.model.head().forward(h.last().unwrap_or(x))
     }
 }
 
@@ -146,7 +174,7 @@ mod tests {
         let mut session = StreamingSession::new(&m, 3);
         for (t, x) in xs.iter().enumerate() {
             let logits = session.step(x).unwrap();
-            assert!(logits.rel_diff(&batch_out[t]) < 1e-6, "divergence at t={t}");
+            assert_eq!(logits, batch_out[t], "divergence at t={t}");
         }
     }
 

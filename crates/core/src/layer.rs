@@ -19,7 +19,7 @@
 //!   checkpoint granularity `k` (only every k-th cell keeps a full
 //!   entry); backward recomputes the dropped segment from the preceding
 //!   checkpoint's `s` and the always-kept `h` sequence, through the same
-//!   `forward_ws` kernels — so an f32 recompute is bit-identical to what
+//!   `forward_ws` cell — so an f32 recompute is bit-identical to what
 //!   was dropped. Under a narrow storage precision every stored tensor
 //!   (kept records, checkpoint states, the `h` sequence) is additionally
 //!   rounded through bf16/f16 ([`eta_tensor::lowp`]), and the
@@ -215,42 +215,20 @@ impl LstmLayer {
     }
 
     /// Runs the layer forward over `xs` (one `[batch, in]` matrix per
-    /// timestep), producing the output sequence and the tape.
+    /// timestep), producing the tape (whose `hs` lane is the output
+    /// sequence).
     ///
     /// `keep[t] == false` marks a cell the MS2 plan skips; `keep` must be
     /// either empty (keep all) or the sequence length.
     ///
-    /// `kernel` controls GEMM-level parallelism inside each cell; the
-    /// result is bit-identical for every setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor shape error on inconsistent input shapes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or `keep` has the wrong length.
-    pub fn forward_sequence(
-        &self,
-        xs: &[Matrix],
-        mode: StorageMode,
-        keep: &[bool],
-        kernel: &ParallelConfig,
-        instruments: &Instruments,
-    ) -> Result<(Vec<Matrix>, LayerTape)> {
-        let mut ws = Workspace::new();
-        let tape =
-            self.forward_sequence_ws(xs, mode, keep, None, kernel, instruments, None, &mut ws)?;
-        Ok((tape.hs.clone(), tape))
-    }
-
-    /// [`LstmLayer::forward_sequence`] against a reusable [`Workspace`]
-    /// and (optionally) pre-packed weight panels: per-timestep scratch
-    /// lives in `ws`, the cell GEMMs run the fused packed kernels, and
-    /// the tape owns each cell's forward intermediates outright instead
-    /// of cloning them. When `panels` is `None` the layer packs its
-    /// weights once locally (amortized over the sequence).
-    /// Bit-identical to the reference cell pipeline.
+    /// Per-timestep scratch lives in the reusable [`Workspace`], the
+    /// cell GEMMs run the fused packed kernels against `panels` (when
+    /// `None` the layer packs its weights once locally, amortized over
+    /// the sequence), and the tape owns each cell's forward
+    /// intermediates outright instead of cloning them. `kernel`
+    /// controls GEMM-level parallelism inside each cell; the result is
+    /// bit-identical for every setting, and on the scalar tier to the
+    /// reference cell pipeline.
     ///
     /// With an MS3 config, cells off the checkpoint grid store
     /// [`TapeEntry::Dropped`] (backward recomputes them), and — under a
@@ -290,7 +268,7 @@ impl LstmLayer {
             Some(p) => p,
             None => {
                 let _pack = instruments.scope("pack");
-                local_panels = LayerPanels::pack(&self.params);
+                local_panels = LayerPanels::pack_with(&self.params, &ParallelConfig::serial());
                 &local_panels
             }
         };
@@ -313,15 +291,19 @@ impl LstmLayer {
             // Every cell loads the layer weights.
             instruments.load(DataCategory::Weights, self.params.size_bytes());
             let cell_scope = instruments.scope("fw_cell");
-            let mut fw = cell::forward_ws(
+            // A fresh record per timestep: the tape (or the recurrence
+            // carry) takes ownership of its buffers below.
+            let mut fw = CellForward::empty();
+            cell::forward_ws(
                 &self.params,
                 panels,
                 x,
                 &h_prev,
                 &s_prev,
                 kernel,
-                ws,
+                &mut ws.preact,
                 instruments,
+                &mut fw,
             )?;
             drop(cell_scope);
             // Narrow-storage emulation: round the record through the
@@ -452,49 +434,18 @@ impl LstmLayer {
     /// compensation factor applied to the accumulated weight gradients.
     /// `kernel` controls GEMM-level parallelism inside each BP cell.
     ///
-    /// # Errors
-    ///
-    /// Returns a tensor shape error on inconsistent shapes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dys`, `xs` and the tape lengths disagree.
-    pub fn backward_sequence(
-        &self,
-        xs: &[Matrix],
-        tape: &LayerTape,
-        dys: &[Matrix],
-        scale: f32,
-        kernel: &ParallelConfig,
-        instruments: &Instruments,
-    ) -> Result<LayerBackward> {
-        let mut ws = Workspace::new();
-        self.backward_sequence_ws(
-            xs,
-            tape,
-            dys,
-            scale,
-            None,
-            kernel,
-            instruments,
-            None,
-            &mut ws,
-        )
-    }
-
-    /// [`LstmLayer::backward_sequence`] against a reusable [`Workspace`]
-    /// and (optionally) pre-packed weight panels: the P1 products, the
-    /// summed context gradient, and the fused gate-gradient block all
-    /// live in `ws` buffers instead of fresh per-timestep allocations,
-    /// and the BP GEMMs consume cached packed panels. When `panels` is
-    /// `None` the layer packs its weights once locally. Bit-identical
-    /// to the reference cell pipeline.
+    /// The P1 products, the summed context gradient, and the fused
+    /// gate-gradient block all live in the reusable [`Workspace`]
+    /// instead of fresh per-timestep allocations, and the BP GEMMs
+    /// consume the packed `panels` (when `None` the layer packs its
+    /// weights once locally). Bit-identical on the scalar tier to the
+    /// reference cell pipeline.
     ///
     /// With an MS3 config whose interval exceeds 1, [`TapeEntry::Dropped`]
     /// cells are recomputed lazily, one segment at a time, into the
     /// workspace's reused segment cache: the segment replays forward
     /// from the preceding checkpoint's `s` and the always-kept `h`
-    /// sequence through the same `forward_ws` kernels (and the same
+    /// sequence through the same `forward_ws` cell (and the same
     /// storage rounding), so an f32 recompute reproduces the dropped
     /// records bit-for-bit. Recomputed cells are counted into
     /// `ws.ms3_recompute_cells`.
@@ -532,7 +483,7 @@ impl LstmLayer {
             Some(p) => p,
             None => {
                 let _pack = instruments.scope("pack");
-                local_panels = LayerPanels::pack(&self.params);
+                local_panels = LayerPanels::pack_with(&self.params, &ParallelConfig::serial());
                 &local_panels
             }
         };
@@ -597,7 +548,10 @@ impl LstmLayer {
                 }
             }
 
-            let p1 = match entry {
+            // The five computed P1 products land in `ws.p1`; each arm
+            // yields the sixth (`p_s`, the forget gate or its pruned
+            // copy).
+            let p_s: &Matrix = match entry {
                 TapeEntry::Skipped { .. } => unreachable!("handled above"),
                 TapeEntry::Dense(fw) => {
                     let bytes = scaled_bytes(fw.stored_bytes(), precision);
@@ -617,14 +571,7 @@ impl LstmLayer {
                         Self::stored_s_ref(tape, t, &zero_h)
                     };
                     cell::compute_p1_into(&mut ws.p1, fw, s_prev)?;
-                    P1Ref {
-                        p_i: &ws.p1.p_i,
-                        p_f: &ws.p1.p_f,
-                        p_c: &ws.p1.p_c,
-                        p_o: &ws.p1.p_o,
-                        p_h: &ws.p1.p_h,
-                        p_s: &fw.f,
-                    }
+                    &fw.f
                 }
                 TapeEntry::Compressed(packet) => {
                     let bytes = scaled_bytes(packet.compressed_bytes(), precision);
@@ -634,14 +581,7 @@ impl LstmLayer {
                     // (the sixth, pruned-forget-gate stream lands in
                     // the dedicated `ms3_p_s` slot).
                     packet.decode_into(&mut ws.p1, &mut ws.ms3_p_s);
-                    P1Ref {
-                        p_i: &ws.p1.p_i,
-                        p_f: &ws.p1.p_f,
-                        p_c: &ws.p1.p_c,
-                        p_o: &ws.p1.p_o,
-                        p_h: &ws.p1.p_h,
-                        p_s: &ws.ms3_p_s,
-                    }
+                    &ws.ms3_p_s
                 }
                 TapeEntry::Dropped => {
                     let Some(base) = cache_base else {
@@ -686,25 +626,19 @@ impl LstmLayer {
                         ensure_shape(&mut ws.ms3_p_s, batch, h);
                         ws.ms3_p_s.as_mut_slice().copy_from_slice(fw.f.as_slice());
                         prune_in_place(&mut ws.ms3_p_s, thr);
-                        P1Ref {
-                            p_i: &ws.p1.p_i,
-                            p_f: &ws.p1.p_f,
-                            p_c: &ws.p1.p_c,
-                            p_o: &ws.p1.p_o,
-                            p_h: &ws.p1.p_h,
-                            p_s: &ws.ms3_p_s,
-                        }
+                        &ws.ms3_p_s
                     } else {
-                        P1Ref {
-                            p_i: &ws.p1.p_i,
-                            p_f: &ws.p1.p_f,
-                            p_c: &ws.p1.p_c,
-                            p_o: &ws.p1.p_o,
-                            p_h: &ws.p1.p_h,
-                            p_s: &fw.f,
-                        }
+                        &fw.f
                     }
                 }
+            };
+            let p1 = P1Ref {
+                p_i: &ws.p1.p_i,
+                p_f: &ws.p1.p_f,
+                p_c: &ws.p1.p_c,
+                p_o: &ws.p1.p_o,
+                p_h: &ws.p1.p_h,
+                p_s,
             };
             // dh_total = dys[t] + dh_next, fused into the reused buffer
             // (same elementwise add as the clone + add_assign pipeline).
@@ -834,7 +768,7 @@ impl LstmLayer {
                 }
             };
             let cell_scope = instruments.scope("fw_cell");
-            cell::forward_into_with_preact(
+            cell::forward_ws(
                 &self.params,
                 panels,
                 x_u,
@@ -952,14 +886,44 @@ mod tests {
         ParallelConfig::serial()
     }
 
+    /// Forward with no panels and a fresh workspace.
+    fn fw(
+        layer: &LstmLayer,
+        xs: &[Matrix],
+        mode: StorageMode,
+        keep: &[bool],
+        kernel: &ParallelConfig,
+        inst: &Instruments,
+    ) -> LayerTape {
+        let ws = &mut Workspace::new();
+        layer
+            .forward_sequence_ws(xs, mode, keep, None, kernel, inst, None, ws)
+            .unwrap()
+    }
+
+    /// Backward with no panels and a fresh workspace.
+    fn bw(
+        layer: &LstmLayer,
+        xs: &[Matrix],
+        tape: &LayerTape,
+        dys: &[Matrix],
+        scale: f32,
+        kernel: &ParallelConfig,
+        inst: &Instruments,
+    ) -> LayerBackward {
+        let ws = &mut Workspace::new();
+        layer
+            .backward_sequence_ws(xs, tape, dys, scale, None, kernel, inst, None, ws)
+            .unwrap()
+    }
+
     #[test]
     fn forward_produces_one_output_per_timestep() {
         let layer = LstmLayer::new(6, 4, 1);
         let xs = inputs(5, 3, 6);
         let inst = Instruments::new();
-        let (hs, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
+        let tape = fw(&layer, &xs, StorageMode::Dense, &[], &ser(), &inst);
+        let hs = &tape.hs;
         assert_eq!(hs.len(), 5);
         assert_eq!(tape.entries.len(), 5);
         assert!(hs.iter().all(|m| m.rows() == 3 && m.cols() == 4));
@@ -970,28 +934,24 @@ mod tests {
         let layer = LstmLayer::new(5, 4, 2);
         let xs = inputs(4, 2, 5);
         let inst = Instruments::new();
-        let (hs_d, tape_d) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        let (hs_c, tape_c) = layer
-            .forward_sequence(
-                &xs,
-                StorageMode::Compressed(Ms1Config { threshold: 0.0 }),
-                &[],
-                &ser(),
-                &inst,
-            )
-            .unwrap();
-        assert_eq!(hs_d, hs_c, "forward outputs are strategy-independent");
+        let tape_d = fw(&layer, &xs, StorageMode::Dense, &[], &ser(), &inst);
+        let tape_c = fw(
+            &layer,
+            &xs,
+            StorageMode::Compressed(Ms1Config { threshold: 0.0 }),
+            &[],
+            &ser(),
+            &inst,
+        );
+        assert_eq!(
+            tape_d.hs, tape_c.hs,
+            "forward outputs are strategy-independent"
+        );
 
         let mut dys = zeros_grads(4, 2, 4);
         dys[3] = Matrix::filled(2, 4, 1.0);
-        let bd = layer
-            .backward_sequence(&xs, &tape_d, &dys, 1.0, &ser(), &inst)
-            .unwrap();
-        let bc = layer
-            .backward_sequence(&xs, &tape_c, &dys, 1.0, &ser(), &inst)
-            .unwrap();
+        let bd = bw(&layer, &xs, &tape_d, &dys, 1.0, &ser(), &inst);
+        let bc = bw(&layer, &xs, &tape_c, &dys, 1.0, &ser(), &inst);
         assert!(bd.grads.dw.rel_diff(&bc.grads.dw) < 1e-6);
         assert!(bd.grads.du.rel_diff(&bc.grads.du) < 1e-6);
         for (a, b) in bd.dxs.iter().zip(bc.dxs.iter()) {
@@ -1004,26 +964,19 @@ mod tests {
         let layer = LstmLayer::new(8, 8, 3);
         let xs = inputs(6, 4, 8);
         let inst = Instruments::new();
-        let (_, tape_d) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        let (_, tape_c) = layer
-            .forward_sequence(
-                &xs,
-                StorageMode::Compressed(Ms1Config::default()),
-                &[],
-                &ser(),
-                &inst,
-            )
-            .unwrap();
+        let tape_d = fw(&layer, &xs, StorageMode::Dense, &[], &ser(), &inst);
+        let tape_c = fw(
+            &layer,
+            &xs,
+            StorageMode::Compressed(Ms1Config::default()),
+            &[],
+            &ser(),
+            &inst,
+        );
         let mut dys = zeros_grads(6, 4, 8);
         dys[5] = Matrix::filled(4, 8, 0.5);
-        let bd = layer
-            .backward_sequence(&xs, &tape_d, &dys, 1.0, &ser(), &inst)
-            .unwrap();
-        let bc = layer
-            .backward_sequence(&xs, &tape_c, &dys, 1.0, &ser(), &inst)
-            .unwrap();
+        let bd = bw(&layer, &xs, &tape_d, &dys, 1.0, &ser(), &inst);
+        let bc = bw(&layer, &xs, &tape_c, &dys, 1.0, &ser(), &inst);
         // Pruning perturbs but must not destroy the gradient signal.
         let diff = bd.grads.dw.rel_diff(&bc.grads.dw);
         assert!(diff < 0.5, "pruned gradient diverged: rel diff {diff}");
@@ -1037,14 +990,10 @@ mod tests {
         let inst = Instruments::new();
         // Skip the first three cells (single-loss pattern).
         let keep = [false, false, false, true, true, true];
-        let (_, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &keep, &ser(), &inst)
-            .unwrap();
+        let tape = fw(&layer, &xs, StorageMode::Dense, &keep, &ser(), &inst);
         let mut dys = zeros_grads(6, 2, 4);
         dys[5] = Matrix::filled(2, 4, 1.0);
-        let b = layer
-            .backward_sequence(&xs, &tape, &dys, 1.0, &ser(), &inst)
-            .unwrap();
+        let b = bw(&layer, &xs, &tape, &dys, 1.0, &ser(), &inst);
         for t in 0..3 {
             assert_eq!(b.magnitudes[t], 0.0);
             assert!(b.dxs[t].as_slice().iter().all(|&v| v == 0.0));
@@ -1060,9 +1009,7 @@ mod tests {
         let xs = inputs(4, 2, 5);
         let inst = Instruments::new();
         let keep = [false, true, true, true];
-        let (_, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &keep, &ser(), &inst)
-            .unwrap();
+        let tape = fw(&layer, &xs, StorageMode::Dense, &keep, &ser(), &inst);
         match &tape.entries[0] {
             TapeEntry::Skipped { s: Some(_) } => {}
             other => panic!("expected boundary state, got {other:?}"),
@@ -1071,9 +1018,7 @@ mod tests {
         // in its local gradient (same dh path, nonzero magnitude).
         let mut dys = zeros_grads(4, 2, 4);
         dys[3] = Matrix::filled(2, 4, 1.0);
-        let b = layer
-            .backward_sequence(&xs, &tape, &dys, 1.0, &ser(), &inst)
-            .unwrap();
+        let b = bw(&layer, &xs, &tape, &dys, 1.0, &ser(), &inst);
         assert!(b.magnitudes[1] > 0.0);
     }
 
@@ -1086,18 +1031,10 @@ mod tests {
         dys[2] = Matrix::filled(2, 4, 1.0);
         // Separate forward passes: each tape's stored intermediates are
         // consumed (and released) by exactly one backward sweep.
-        let (_, tape1) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        let b1 = layer
-            .backward_sequence(&xs, &tape1, &dys, 1.0, &ser(), &inst)
-            .unwrap();
-        let (_, tape2) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        let b2 = layer
-            .backward_sequence(&xs, &tape2, &dys, 2.0, &ser(), &inst)
-            .unwrap();
+        let tape1 = fw(&layer, &xs, StorageMode::Dense, &[], &ser(), &inst);
+        let b1 = bw(&layer, &xs, &tape1, &dys, 1.0, &ser(), &inst);
+        let tape2 = fw(&layer, &xs, StorageMode::Dense, &[], &ser(), &inst);
+        let b2 = bw(&layer, &xs, &tape2, &dys, 2.0, &ser(), &inst);
         let mut doubled = b1.grads.dw.clone();
         doubled.scale(2.0);
         assert!(doubled.rel_diff(&b2.grads.dw) < 1e-6);
@@ -1109,18 +1046,15 @@ mod tests {
         let xs = inputs(5, 4, 16);
         let dense_inst = Instruments::new();
         let comp_inst = Instruments::new();
-        layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &dense_inst)
-            .unwrap();
-        layer
-            .forward_sequence(
-                &xs,
-                StorageMode::Compressed(Ms1Config::default()),
-                &[],
-                &ser(),
-                &comp_inst,
-            )
-            .unwrap();
+        fw(&layer, &xs, StorageMode::Dense, &[], &ser(), &dense_inst);
+        fw(
+            &layer,
+            &xs,
+            StorageMode::Compressed(Ms1Config::default()),
+            &[],
+            &ser(),
+            &comp_inst,
+        );
         let dense_peak = dense_inst.mem.snapshot().peak(DataCategory::Intermediates);
         let comp_peak = comp_inst.mem.snapshot().peak(DataCategory::Intermediates);
         assert!(
@@ -1130,10 +1064,9 @@ mod tests {
     }
 
     /// The PR 5 contract at layer level: the workspace sequence paths
-    /// (which now back `forward_sequence`/`backward_sequence`) are
-    /// bit-identical to a reference loop built from the un-fused cell
-    /// primitives, with or without shared panels, and with a reused
-    /// workspace.
+    /// are bit-identical to a reference loop built from the un-fused
+    /// cell primitives, with or without shared panels, and with a
+    /// reused workspace.
     #[test]
     fn sequence_paths_bit_identical_to_unfused_cell_loop() {
         let (seq, batch, input, h) = (5usize, 3usize, 6usize, 8usize);
@@ -1148,16 +1081,15 @@ mod tests {
         let mut ref_fws = Vec::new();
         let mut s_prevs = Vec::new();
         for x in &xs {
-            let fw = cell::forward_with(&layer.params, x, &h_prev, &s_prev, &kernel).unwrap();
+            let fw = cell::forward(&layer.params, x, &h_prev, &s_prev).unwrap();
             s_prevs.push(s_prev.clone());
             h_prev = fw.h.clone();
             s_prev = fw.s.clone();
             ref_fws.push(fw);
         }
 
-        let (hs, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &kernel, &inst)
-            .unwrap();
+        let tape = fw(&layer, &xs, StorageMode::Dense, &[], &kernel, &inst);
+        let hs = &tape.hs;
         for (t, fw) in ref_fws.iter().enumerate() {
             assert_eq!(&hs[t], &fw.h);
             match &tape.entries[t] {
@@ -1167,7 +1099,7 @@ mod tests {
         }
 
         // Shared panels + reused workspace must change nothing.
-        let panels = LayerPanels::pack(&layer.params);
+        let panels = LayerPanels::pack_with(&layer.params, &kernel);
         let mut ws = Workspace::new();
         for _ in 0..2 {
             let tape2 = layer
@@ -1182,7 +1114,7 @@ mod tests {
                     &mut ws,
                 )
                 .unwrap();
-            assert_eq!(tape2.hs, hs);
+            assert_eq!(&tape2.hs, hs);
         }
 
         // Reference backward: plain unfused cell primitives, reversed.
@@ -1199,7 +1131,7 @@ mod tests {
             dh_total.add_assign(&dh_next).unwrap();
             let h_prev_t = if t == 0 { &zero_h } else { &ref_fws[t - 1].h };
             let mut cg = CellGrads::zeros_like(&layer.params);
-            let out = cell::backward_with(
+            let out = cell::backward(
                 &layer.params,
                 &p1,
                 &xs[t],
@@ -1207,7 +1139,6 @@ mod tests {
                 &dh_total,
                 &ds_next,
                 &mut cg,
-                &kernel,
             )
             .unwrap();
             ref_grads.accumulate(&cg).unwrap();
@@ -1235,10 +1166,9 @@ mod tests {
         assert_eq!(b.grads.du, ref_grads.du);
         assert_eq!(b.grads.db, ref_grads.db);
 
-        // And the panel-less wrapper agrees with the panelled run.
-        let b2 = layer
-            .backward_sequence(&xs, &tape, &dys, 1.0, &kernel, &inst)
-            .unwrap();
+        // And the panel-less, fresh-workspace run agrees with the
+        // panelled one.
+        let b2 = bw(&layer, &xs, &tape, &dys, 1.0, &kernel, &inst);
         assert_eq!(b2.dxs, b.dxs);
         assert_eq!(b2.grads.dw, b.grads.dw);
     }
@@ -1248,19 +1178,16 @@ mod tests {
         let layer = LstmLayer::new(4, 4, 9);
         let xs = inputs(2, 2, 4);
         let inst = Instruments::new();
-        let (_, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
+        let tape = fw(&layer, &xs, StorageMode::Dense, &[], &ser(), &inst);
         assert_eq!(LstmLayer::tape_compression_stats(&tape).total, 0);
-        let (_, tape_c) = layer
-            .forward_sequence(
-                &xs,
-                StorageMode::Compressed(Ms1Config::default()),
-                &[],
-                &ser(),
-                &inst,
-            )
-            .unwrap();
+        let tape_c = fw(
+            &layer,
+            &xs,
+            StorageMode::Compressed(Ms1Config::default()),
+            &[],
+            &ser(),
+            &inst,
+        );
         assert!(LstmLayer::tape_compression_stats(&tape_c).total > 0);
     }
 }

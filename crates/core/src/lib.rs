@@ -58,13 +58,6 @@ pub mod strategy;
 pub mod trainer;
 pub mod workspace;
 
-/// Deprecated alias for [`persist`]: "checkpoint" now refers to MS3's
-/// recompute checkpointing ([`ms3`]), so model serialization lives under
-/// the unambiguous name. This shim keeps old imports compiling.
-pub mod checkpoint {
-    pub use crate::persist::{from_json, to_json};
-}
-
 mod error;
 
 pub use config::{LstmConfig, LstmConfigBuilder};

@@ -202,7 +202,9 @@ impl LstmModel {
     }
 
     /// Inference-style forward pass: head logits per timestep, storing
-    /// nothing.
+    /// nothing — every cell runs as the MS2 inference-style cell (an
+    /// all-`false` keep mask), so the layers execute exactly the
+    /// forward work of a training step and keep only the `h` sequence.
     ///
     /// # Errors
     ///
@@ -211,12 +213,24 @@ impl LstmModel {
         self.check_inputs(xs)?;
         let inst = Instruments::new();
         let kernel = ParallelConfig::serial();
-        let mut seq: Vec<Matrix> = xs.to_vec();
+        let skip_all = vec![false; xs.len()];
+        let mut ws = Workspace::new();
+        let mut hs: Option<Vec<Matrix>> = None;
         for layer in &self.layers {
-            let (hs, _) = layer.forward_sequence(&seq, StorageMode::Dense, &[], &kernel, &inst)?;
-            seq = hs;
+            let tape = layer.forward_sequence_ws(
+                hs.as_deref().unwrap_or(xs),
+                StorageMode::Dense,
+                &skip_all,
+                None,
+                &kernel,
+                &inst,
+                None,
+                &mut ws,
+            )?;
+            hs = Some(tape.hs);
         }
-        seq.iter().map(|h| self.head.forward(h)).collect()
+        let top = hs.as_deref().unwrap_or(xs);
+        top.iter().map(|h| self.head.forward(h)).collect()
     }
 
     /// One full training step (forward + loss + backward) under `plan`,
@@ -224,28 +238,14 @@ impl LstmModel {
     /// optimizer — the caller owns that (and the MS2 α-calibration needs
     /// the raw magnitudes first).
     ///
-    /// # Errors
-    ///
-    /// Returns [`LstmError::BatchShape`] on malformed inputs or targets.
-    pub fn train_step(
-        &self,
-        xs: &[Matrix],
-        targets: &Targets,
-        plan: &StepPlan,
-        instruments: &Instruments,
-    ) -> Result<StepResult> {
-        let mut ws = Workspace::new();
-        self.train_step_ws(xs, targets, plan, instruments, None, &mut ws)
-    }
-
-    /// [`LstmModel::train_step`] against a reusable [`Workspace`] and
-    /// (optionally) the model's cached packed weight panels: per-step
-    /// scratch lives in `ws` (its high-water mark is updated once per
-    /// step), each layer consumes the previous layer's tape outputs
-    /// directly instead of a duplicated input vector, and the cell
-    /// GEMMs reuse `panels` when given (the trainer checks them out of
-    /// a [`crate::workspace::PanelCache`] once per weight update).
-    /// Bit-identical to [`LstmModel::train_step`].
+    /// Per-step scratch lives in the reusable [`Workspace`] (its
+    /// high-water mark is updated once per step), each layer consumes
+    /// the previous layer's tape outputs directly instead of a
+    /// duplicated input vector, and the cell GEMMs reuse `panels` when
+    /// given (the trainer checks them out of a
+    /// [`crate::workspace::PanelCache`] once per weight update; `None`
+    /// packs per layer call). Workspace and panels are latency-only:
+    /// results are bit-identical with or without them.
     ///
     /// # Errors
     ///
@@ -544,6 +544,20 @@ mod tests {
     use super::*;
     use eta_tensor::init;
 
+    impl LstmModel {
+        /// Crate-wide test shorthand for the "no panels, fresh
+        /// workspace" side of the latency-only contract.
+        pub(crate) fn fresh_step(
+            &self,
+            xs: &[Matrix],
+            targets: &Targets,
+            plan: &StepPlan,
+            instruments: &Instruments,
+        ) -> Result<StepResult> {
+            self.train_step_ws(xs, targets, plan, instruments, None, &mut Workspace::new())
+        }
+    }
+
     fn config() -> LstmConfig {
         LstmConfig::builder()
             .input_size(6)
@@ -591,7 +605,7 @@ mod tests {
         let (xs, targets) = batch(&cfg, 1);
         let inst = Instruments::new();
         let r = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap();
         assert_eq!(r.grads.cells.len(), 2);
         assert!(r.loss > 0.0);
@@ -607,10 +621,10 @@ mod tests {
         let (xs, targets) = batch(&cfg, 1);
         let inst = Instruments::new();
         let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap();
         let ms1 = model
-            .train_step(
+            .fresh_step(
                 &xs,
                 &targets,
                 &StepPlan {
@@ -638,17 +652,17 @@ mod tests {
         let mut sgd =
             crate::optimizer::Optimizer::sgd(crate::optimizer::Sgd { lr: 0.5, clip: 5.0 });
         let first = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap()
             .loss;
         for _ in 0..80 {
             let r = model
-                .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+                .fresh_step(&xs, &targets, &StepPlan::baseline(), &inst)
                 .unwrap();
             model.apply(&mut sgd, &r.grads).unwrap();
         }
         let last = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap()
             .loss;
         assert!(last < first * 0.5, "loss failed to drop: {first} -> {last}");
@@ -664,7 +678,7 @@ mod tests {
         let targets = Targets::StepClasses(vec![vec![0, 1, 2]; 5]);
         let inst = Instruments::new();
         let r = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap();
         assert!(r.loss > 0.0);
         // Every timestep should see nonzero top-layer gradient magnitude.
@@ -683,7 +697,7 @@ mod tests {
         skip.keep[1][0] = false;
         skip.scale = vec![5.0 / 3.0, 5.0 / 4.0];
         let r = model
-            .train_step(
+            .fresh_step(
                 &xs,
                 &targets,
                 &StepPlan {
@@ -701,7 +715,7 @@ mod tests {
     }
 
     /// The PR 5 contract at model level: a step with cached panels and
-    /// a reused workspace is bit-identical to the plain `train_step`,
+    /// a reused workspace is bit-identical to one with neither,
     /// for both dense and MS1 storage plans, at multiple kernel thread
     /// counts.
     #[test]
@@ -710,7 +724,7 @@ mod tests {
         let model = LstmModel::new(&cfg, 42);
         let (xs, targets) = batch(&cfg, 1);
         let inst = Instruments::new();
-        let panels = ModelPanels::pack(&model);
+        let panels = ModelPanels::pack_with(&model, &ParallelConfig::serial());
         let mut ws = Workspace::new();
 
         for plan in [
@@ -721,7 +735,7 @@ mod tests {
             },
             StepPlan::baseline().with_kernel(eta_tensor::ParallelConfig::with_threads(3)),
         ] {
-            let reference = model.train_step(&xs, &targets, &plan, &inst).unwrap();
+            let reference = model.fresh_step(&xs, &targets, &plan, &inst).unwrap();
             // Run twice with the same workspace: reuse must not drift.
             for _ in 0..2 {
                 let r = model

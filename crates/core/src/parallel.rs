@@ -186,38 +186,22 @@ fn merge_step_results(left: &mut StepResult, right: &StepResult) -> Result<()> {
 /// One full training step under the data-parallel microbatch engine.
 ///
 /// Splits the batch into [`Parallelism::shards`] row shards, runs each
-/// shard's `train_step` independently (up to [`Parallelism::threads`]
+/// shard's `train_step_ws` independently (up to [`Parallelism::threads`]
 /// at a time), pre-scales every shard result by its batch fraction, and
 /// tree-reduces in fixed shard order. With `shards <= 1` (or a batch
-/// too small to split) this is exactly [`LstmModel::train_step`].
+/// too small to split) this is exactly [`LstmModel::train_step_ws`].
 ///
 /// Shard-combined `magnitudes` are the batch-fraction-weighted sums of
 /// the per-shard magnitudes — a deterministic estimator of the serial
 /// measurement (norms do not decompose exactly over shards).
 ///
-/// # Errors
-///
-/// Propagates the first shard's error in shard order (deterministic),
-/// or the serial step's shape errors for malformed inputs.
-pub fn train_step_sharded(
-    model: &LstmModel,
-    xs: &[Matrix],
-    targets: &Targets,
-    plan: &StepPlan,
-    instruments: &Instruments,
-    par: &Parallelism,
-) -> Result<StepResult> {
-    let mut pool = WorkspacePool::new();
-    train_step_sharded_ws(model, xs, targets, plan, instruments, par, None, &mut pool)
-}
-
-/// [`train_step_sharded`] against a reusable [`WorkspacePool`] and
-/// (optionally) cached packed weight panels: worker `w` always uses
-/// pool slot `w`, so a long-lived pool (the trainer owns one) gives
-/// every shard worker steady-state zero-alloc scratch, and all workers
-/// share the read-only `panels`. Workspaces and panels are latency-only
-/// — the determinism contract (results depend on the shard count,
-/// never the thread count) is unchanged, as is every fallback path.
+/// Worker `w` always uses pool slot `w`, so a long-lived
+/// [`WorkspacePool`] (the trainer owns one) gives every shard worker
+/// steady-state zero-alloc scratch, and all workers share the read-only
+/// `panels` (`None` packs per layer call). Workspaces and panels are
+/// latency-only — the determinism contract (results depend on the shard
+/// count, never the thread count) holds with or without them, as does
+/// every fallback path.
 ///
 /// # Errors
 ///
@@ -241,14 +225,12 @@ pub fn train_step_sharded_ws(
     let first_rows = xs.first().map_or(0, Matrix::rows);
     let uniform =
         !xs.is_empty() && xs.len() == seq_len && xs.iter().all(|x| x.rows() == first_rows);
-    if !par.is_sharded() || !uniform {
-        return model.train_step_ws(xs, targets, plan, instruments, panels, pool.slot(0));
-    }
     let batch = first_rows;
-    if !targets_cover_batch(targets, batch, seq_len) {
-        return model.train_step_ws(xs, targets, plan, instruments, panels, pool.slot(0));
-    }
-    let ranges = shard_ranges(batch, par.shards);
+    let ranges = if par.is_sharded() && uniform && targets_cover_batch(targets, batch, seq_len) {
+        shard_ranges(batch, par.shards)
+    } else {
+        Vec::new()
+    };
     if ranges.len() <= 1 {
         return model.train_step_ws(xs, targets, plan, instruments, panels, pool.slot(0));
     }
@@ -396,6 +378,19 @@ mod tests {
             .unwrap()
     }
 
+    /// The sharded step with no panels and a fresh workspace pool.
+    fn fresh_sharded_step(
+        model: &LstmModel,
+        xs: &[Matrix],
+        targets: &Targets,
+        plan: &StepPlan,
+        instruments: &Instruments,
+        par: &Parallelism,
+    ) -> Result<StepResult> {
+        let pool = &mut WorkspacePool::new();
+        train_step_sharded_ws(model, xs, targets, plan, instruments, par, None, pool)
+    }
+
     fn batch_inputs(cfg: &LstmConfig, seed: u64) -> (Vec<Matrix>, Targets) {
         let xs = (0..cfg.seq_len)
             .map(|t| init::uniform(cfg.batch_size, cfg.input_size, -1.0, 1.0, seed + t as u64))
@@ -427,9 +422,9 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 3);
         let inst = Instruments::new();
         let plan = StepPlan::baseline();
-        let serial = model.train_step(&xs, &targets, &plan, &inst).unwrap();
+        let serial = model.fresh_step(&xs, &targets, &plan, &inst).unwrap();
         let par = Parallelism::with_threads(2);
-        let sharded = train_step_sharded(&model, &xs, &targets, &plan, &inst, &par).unwrap();
+        let sharded = fresh_sharded_step(&model, &xs, &targets, &plan, &inst, &par).unwrap();
         assert!((serial.loss - sharded.loss).abs() < 1e-9);
         for (a, b) in serial.grads.cells.iter().zip(sharded.grads.cells.iter()) {
             assert!(a.dw.rel_diff(&b.dw) < 1e-5);
@@ -447,7 +442,7 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 11);
         let inst = Instruments::new();
         let plan = StepPlan::baseline();
-        let reference = train_step_sharded(
+        let reference = fresh_sharded_step(
             &model,
             &xs,
             &targets,
@@ -458,7 +453,7 @@ mod tests {
         .unwrap();
         for threads in [2usize, 3, 8] {
             let par = Parallelism::with_threads(threads);
-            let r = train_step_sharded(&model, &xs, &targets, &plan, &inst, &par).unwrap();
+            let r = fresh_sharded_step(&model, &xs, &targets, &plan, &inst, &par).unwrap();
             // Bit-identical, not merely close.
             assert_eq!(
                 r.loss.to_bits(),
@@ -485,7 +480,7 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 11);
         let inst = Instruments::new();
         let plan = StepPlan::baseline();
-        let reference = train_step_sharded(
+        let reference = fresh_sharded_step(
             &model,
             &xs,
             &targets,
@@ -494,7 +489,7 @@ mod tests {
             &Parallelism::with_threads(1),
         )
         .unwrap();
-        let panels = ModelPanels::pack(&model);
+        let panels = ModelPanels::pack_with(&model, &ParallelConfig::serial());
         let mut pool = WorkspacePool::new();
         for threads in [1usize, 2, 3, 8] {
             let par = Parallelism::with_threads(threads);
@@ -533,9 +528,9 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 9);
         let inst = Instruments::new();
         let plan = StepPlan::baseline();
-        let serial = model.train_step(&xs, &targets, &plan, &inst).unwrap();
+        let serial = model.fresh_step(&xs, &targets, &plan, &inst).unwrap();
         let sharded =
-            train_step_sharded(&model, &xs, &targets, &plan, &inst, &Parallelism::serial())
+            fresh_sharded_step(&model, &xs, &targets, &plan, &inst, &Parallelism::serial())
                 .unwrap();
         assert_eq!(serial.loss.to_bits(), sharded.loss.to_bits());
         for (a, b) in serial.grads.cells.iter().zip(sharded.grads.cells.iter()) {
@@ -552,7 +547,7 @@ mod tests {
         let inst = Instruments::new();
         let par = Parallelism::with_threads(8); // 4 shards requested, 2 rows available
         let r =
-            train_step_sharded(&model, &xs, &targets, &StepPlan::baseline(), &inst, &par).unwrap();
+            fresh_sharded_step(&model, &xs, &targets, &StepPlan::baseline(), &inst, &par).unwrap();
         assert_eq!(r.shards, 2);
         assert!(r.loss.is_finite());
     }
@@ -564,7 +559,7 @@ mod tests {
         let short: Vec<Matrix> = (0..2).map(|_| Matrix::zeros(4, 6)).collect();
         let inst = Instruments::new();
         let par = Parallelism::with_threads(4);
-        let err = train_step_sharded(
+        let err = fresh_sharded_step(
             &model,
             &short,
             &Targets::Classes(vec![0; 4]),

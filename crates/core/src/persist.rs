@@ -82,10 +82,10 @@ mod tests {
         let targets = Targets::Classes(vec![0, 2]);
         let inst = Instruments::new();
         let ra = m
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap();
         let rb = restored
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .fresh_step(&xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap();
         assert_eq!(ra.loss, rb.loss);
     }

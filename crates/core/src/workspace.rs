@@ -141,11 +141,6 @@ impl Workspace {
         Self::default()
     }
 
-    /// Sizes the forward-pass buffers for a `[batch, hidden]` cell.
-    pub fn ensure_forward(&mut self, batch: usize, hidden: usize) {
-        ensure_shape(&mut self.preact, batch, 4 * hidden);
-    }
-
     /// Current bytes held across all buffers.
     pub fn bytes(&self) -> u64 {
         let seg: u64 = self
@@ -248,20 +243,11 @@ pub struct LayerPanels {
 }
 
 impl LayerPanels {
-    /// Packs all four panel sets from the layer's current weights.
-    pub fn pack(params: &CellParams) -> Self {
-        LayerPanels {
-            w_fwd: PackedB::from_nt(&params.w),
-            u_fwd: PackedB::from_nt(&params.u),
-            w_bwd: PackedB::from_nn(&params.w),
-            u_bwd: PackedB::from_nn(&params.u),
-        }
-    }
-
-    /// [`LayerPanels::pack`] with worker threads filling panels when
-    /// `cfg` warrants it. Packing is bit-identical at any thread count
-    /// (each panel is a pure function of the weights), so this only
-    /// changes pack latency, never training results.
+    /// Packs all four panel sets from the layer's current weights,
+    /// with worker threads filling panels when `cfg` warrants it.
+    /// Packing is bit-identical at any thread count (each panel is a
+    /// pure function of the weights), so `cfg` only changes pack
+    /// latency, never training results.
     pub fn pack_with(params: &CellParams, cfg: &ParallelConfig) -> Self {
         LayerPanels {
             w_fwd: PackedB::from_nt_par(&params.w, cfg),
@@ -288,18 +274,7 @@ pub struct ModelPanels {
 }
 
 impl ModelPanels {
-    /// Packs every layer's weights.
-    pub fn pack(model: &LstmModel) -> Self {
-        ModelPanels {
-            layers: model
-                .layers()
-                .iter()
-                .map(|l| LayerPanels::pack(&l.params))
-                .collect(),
-        }
-    }
-
-    /// [`ModelPanels::pack`] with parallel panel filling per layer.
+    /// Packs every layer's weights (see [`LayerPanels::pack_with`]).
     pub fn pack_with(model: &LstmModel, cfg: &ParallelConfig) -> Self {
         ModelPanels {
             layers: model
@@ -346,14 +321,9 @@ impl PanelCache {
         self.panels = None;
     }
 
-    /// The current panels, packing from `model` if the cache is stale.
-    pub fn checkout(&mut self, model: &LstmModel) -> &ModelPanels {
-        self.checkout_with(model, &ParallelConfig::serial())
-    }
-
-    /// [`PanelCache::checkout`] packing with `cfg` on a cache miss —
-    /// the trainer passes its kernel-parallelism config so the
-    /// once-per-update repack uses the same worker budget as the
+    /// The current panels, packing from `model` with `cfg` if the cache
+    /// is stale — the trainer passes its kernel-parallelism config so
+    /// the once-per-update repack uses the same worker budget as the
     /// kernels themselves.
     pub fn checkout_with(&mut self, model: &LstmModel, cfg: &ParallelConfig) -> &ModelPanels {
         if self.panels.is_some() {
@@ -402,24 +372,24 @@ mod tests {
     #[test]
     fn ensure_reallocates_only_on_shape_change() {
         let mut ws = Workspace::new();
-        ws.ensure_forward(3, 8);
+        ensure_shape(&mut ws.preact, 3, 32);
         assert_eq!((ws.preact.rows(), ws.preact.cols()), (3, 32));
         let before = ws.preact.as_slice().as_ptr();
-        ws.ensure_forward(3, 8);
+        ensure_shape(&mut ws.preact, 3, 32);
         assert_eq!(ws.preact.as_slice().as_ptr(), before, "no realloc on hit");
-        ws.ensure_forward(5, 8);
+        ensure_shape(&mut ws.preact, 5, 32);
         assert_eq!(ws.preact.rows(), 5);
     }
 
     #[test]
     fn high_water_tracks_largest_footprint() {
         let mut ws = Workspace::new();
-        ws.ensure_forward(4, 8);
+        ensure_shape(&mut ws.preact, 4, 32);
         ws.bwd.ensure(4, 8);
         ws.note_high_water();
         let peak = ws.high_water_bytes();
         assert_eq!(peak, ws.bytes());
-        ws.ensure_forward(1, 8);
+        ensure_shape(&mut ws.preact, 1, 32);
         ws.bwd.ensure(1, 8);
         ws.note_high_water();
         assert_eq!(ws.high_water_bytes(), peak, "high water never shrinks");
@@ -430,7 +400,7 @@ mod tests {
         let mut pool = WorkspacePool::new();
         let slots = pool.slots_mut(3);
         assert_eq!(slots.len(), 3);
-        slots[1].ensure_forward(2, 4);
+        slots[1].bwd.ensure(2, 4);
         slots[1].note_high_water();
         assert!(pool.high_water_bytes() > 0);
         assert_eq!(pool.slot(0).high_water_bytes(), 0);
@@ -441,21 +411,22 @@ mod tests {
         let model = model();
         let mut cache = PanelCache::new();
         assert!(!cache.is_packed());
-        let bytes = cache.checkout(&model).size_bytes();
+        let cfg = ParallelConfig::serial();
+        let bytes = cache.checkout_with(&model, &cfg).size_bytes();
         assert!(bytes > 0);
-        cache.checkout(&model);
-        cache.checkout(&model);
+        cache.checkout_with(&model, &cfg);
+        cache.checkout_with(&model, &cfg);
         assert_eq!(cache.pack_count(), 1);
         assert_eq!(cache.hit_count(), 2);
         cache.invalidate();
-        cache.checkout(&model);
+        cache.checkout_with(&model, &cfg);
         assert_eq!(cache.pack_count(), 2);
     }
 
     #[test]
     fn layer_panels_match_fresh_packs_of_the_weights() {
         let model = model();
-        let panels = ModelPanels::pack(&model);
+        let panels = ModelPanels::pack_with(&model, &ParallelConfig::serial());
         assert_eq!(panels.layers.len(), 2);
         let p0 = panels.layer(0).unwrap();
         let w = &model.layers()[0].params.w;

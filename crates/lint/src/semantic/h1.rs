@@ -10,6 +10,11 @@
 //! `.to_vec()`, `.clone()`, `Box::new`, `String` construction and
 //! `format!` — with the full call chain in the diagnostic.
 //!
+//! Roots and drivers are matched by bare name, so a rename would
+//! silently drop one from the contract. Each listed name therefore
+//! carries its home file, and a home file that is analysed but no
+//! longer defines the name as library code is itself an H1 finding.
+//!
 //! Boundaries that keep the rule honest rather than vacuous:
 //!
 //! * **per-step drivers** — `train_step_ws` / `train_step_sharded_ws`
@@ -53,30 +58,37 @@ use crate::model::{FnInfo, Workspace};
 use crate::rules::{Finding, ScopeKind, NUMERIC_CRATES};
 use std::collections::{BTreeSet, VecDeque};
 
-/// Per-timestep entry points: the zero-alloc contract applies to
-/// everything these reach (minus setup regions and constructor sinks).
-const HOT_ROOTS: &[&str] = &[
-    "forward_ws",
-    "forward_ws_into",
-    "forward_into_with_preact",
-    "backward_ws",
-    "compute_p1_into",
-    "gemm_nt_rows",
-    "gemm_nt_rows_epilogue",
-    "gemm_nn_rows",
-    "gemm_tn_rows",
-    "recompute_segment",
+const CELL_RS: &str = "crates/core/src/cell.rs";
+const LAYER_RS: &str = "crates/core/src/layer.rs";
+const KERNELS_RS: &str = "crates/tensor/src/kernels.rs";
+
+/// Per-timestep entry points as `(name, home file)`: the zero-alloc
+/// contract applies to everything these reach (minus setup regions and
+/// constructor sinks).
+const HOT_ROOTS: &[(&str, &str)] = &[
+    ("forward_ws", CELL_RS),
+    ("backward_ws", CELL_RS),
+    ("compute_p1_into", CELL_RS),
+    ("gemm_nt_rows", KERNELS_RS),
+    ("gemm_nt_rows_epilogue", KERNELS_RS),
+    ("gemm_nn_rows", KERNELS_RS),
+    ("gemm_tn_rows", KERNELS_RS),
+    ("recompute_segment", LAYER_RS),
 ];
 
-/// Sequence drivers: own body exempt (tape ownership), callees hot —
-/// everything they call runs once per timestep.
-const SEQ_DRIVERS: &[&str] = &["forward_sequence_ws", "backward_sequence_ws"];
+/// Sequence drivers as `(name, home file)`: own body exempt (tape
+/// ownership), callees hot — everything they call runs once per
+/// timestep.
+const SEQ_DRIVERS: &[(&str, &str)] = &[
+    ("forward_sequence_ws", LAYER_RS),
+    ("backward_sequence_ws", LAYER_RS),
+];
 
 /// Setup/cache-management functions: body exempt and traversal stops —
 /// allocating is their documented, once-per-update job.
 const SETUP_STOPS: &[&str] = &[
-    "pack",
-    "checkout",
+    "pack_with",
+    "checkout_with",
     "invalidate",
     "slot",
     "slots_mut",
@@ -109,7 +121,7 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         }
     }
 
-    let mut findings = Vec::new();
+    let mut findings = unresolved_roots(ws);
     for f in &ws.fns {
         if !reached[f.id] || !scanned(f) {
             continue;
@@ -136,18 +148,52 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
+/// Non-test library code of a numeric crate.
+fn is_numeric_lib(f: &FnInfo) -> bool {
+    !f.in_test && f.kind == ScopeKind::Lib && NUMERIC_CRATES.contains(&f.crate_key.as_str())
+}
+
+/// Library function of a numeric crate bearing one of `names`.
+fn is_listed(f: &FnInfo, names: &[(&str, &str)]) -> bool {
+    names.iter().any(|(name, _)| *name == f.name) && is_numeric_lib(f)
+}
+
 fn is_hot_root(f: &FnInfo) -> bool {
-    HOT_ROOTS.contains(&f.name.as_str())
-        && !f.in_test
-        && f.kind == ScopeKind::Lib
-        && NUMERIC_CRATES.contains(&f.crate_key.as_str())
+    is_listed(f, HOT_ROOTS)
 }
 
 fn is_seq_driver(f: &FnInfo) -> bool {
-    SEQ_DRIVERS.contains(&f.name.as_str())
-        && !f.in_test
-        && f.kind == ScopeKind::Lib
-        && NUMERIC_CRATES.contains(&f.crate_key.as_str())
+    is_listed(f, SEQ_DRIVERS)
+}
+
+/// One finding per listed root or driver whose home file is part of
+/// the analysed workspace but no longer defines it as library code —
+/// after a rename the BFS would simply never start there, and the
+/// contract would shrink without a diagnostic.
+fn unresolved_roots(ws: &Workspace) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (list, names) in [("HOT_ROOTS", HOT_ROOTS), ("SEQ_DRIVERS", SEQ_DRIVERS)] {
+        for &(name, home) in names {
+            let analysed = ws.files.iter().any(|f| f.rel == home);
+            let resolves = ws
+                .fns
+                .iter()
+                .any(|f| f.file == home && f.name == name && is_numeric_lib(f));
+            if analysed && !resolves {
+                findings.push(Finding {
+                    rule: "H1".into(),
+                    file: home.into(),
+                    line: 1,
+                    message: format!(
+                        "`{name}` is listed in {list} but {home} defines no such library \
+                         function: the zero-alloc contract no longer covers it (update the \
+                         list in crates/lint/src/semantic/h1.rs to the surviving name)"
+                    ),
+                });
+            }
+        }
+    }
+    findings
 }
 
 /// Constructor sink: associated fn (no `self`) on an impl type —

@@ -319,17 +319,17 @@ fn h1_reports_allocation_with_call_chain_from_hot_root() {
 
 #[test]
 fn h1_setup_regions_and_error_paths_stay_silent() {
-    // `pack` is a setup stop (panel caching allocates by design), and
-    // `Err(format!…)` is a cold path: neither may produce a finding.
+    // `pack_with` is a setup stop (panel caching allocates by design),
+    // and `Err(format!…)` is a cold path: neither may produce a finding.
     let src = "pub fn forward_ws(n: usize) -> Result<f32, String> {\n\
-               \x20   let w = pack(n);\n\
+               \x20   let w = pack_with(n);\n\
                \x20   if n == 0 {\n\
                \x20       return Err(format!(\"empty batch: {n}\"));\n\
                \x20   }\n\
                \x20   Ok(w)\n\
                }\n\
                \n\
-               fn pack(n: usize) -> f32 {\n\
+               fn pack_with(n: usize) -> f32 {\n\
                \x20   let buf = vec![0.0f32; n];\n\
                \x20   buf.iter().sum()\n\
                }\n";
@@ -350,6 +350,41 @@ fn h1_is_scoped_to_the_hot_call_graph() {
                }\n";
     let (findings, _) = analyze(&[(CORE, src)]);
     assert!(rule(&findings, "H1").is_empty(), "{findings:#?}");
+}
+
+#[test]
+fn h1_flags_a_listed_root_its_home_file_no_longer_defines() {
+    // Roots are matched by bare name, so a rename would silently shrink
+    // the contract; the home file recorded next to each name turns that
+    // into a finding.
+    const CELL: &str = "crates/core/src/cell.rs";
+    let cell_rs = |forward: &str| {
+        format!(
+            "pub fn {forward}() {{}}\n\
+             pub fn backward_ws() {{}}\n\
+             pub fn compute_p1_into() {{}}\n\
+             \n\
+             #[cfg(test)]\n\
+             mod tests {{\n\
+             \x20   fn forward_ws() {{}}\n\
+             }}\n"
+        )
+    };
+    // Pass: every root listed for cell.rs is library code there.
+    let (findings, _) = analyze(&[(CELL, &cell_rs("forward_ws"))]);
+    assert!(rule(&findings, "H1").is_empty(), "{findings:#?}");
+    // Fail: renamed — the test-module namesake does not count.
+    let (findings, _) = analyze(&[(CELL, &cell_rs("forward_cell"))]);
+    let h1 = rule(&findings, "H1");
+    assert_eq!(h1.len(), 1, "{findings:#?}");
+    assert_eq!((h1[0].file.as_str(), h1[0].line), (CELL, 1));
+    assert!(
+        h1[0].message.starts_with(
+            "`forward_ws` is listed in HOT_ROOTS but crates/core/src/cell.rs defines no"
+        ),
+        "{}",
+        h1[0].message
+    );
 }
 
 // --- A2: SIMD readiness ----------------------------------------------------

@@ -367,7 +367,8 @@ mod tests {
     #[test]
     fn session_writes_both_artifacts_and_emits_keys() {
         let t = telemetry();
-        let dir = std::env::temp_dir().join("eta_prof_session_test");
+        let dir =
+            std::env::temp_dir().join(format!("eta_prof_session_test_{}", std::process::id()));
         let session = TraceSession::start(t.clone(), &dir, "unit");
         {
             let _s = t.span("work");

@@ -434,9 +434,14 @@ mod tests {
         assert_eq!(report.compared, 0);
     }
 
+    /// A scratch directory private to one test of one process.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("eta_prof_track_{test}_{}", std::process::id()))
+    }
+
     #[test]
     fn history_round_trips_through_jsonl() {
-        let dir = std::env::temp_dir().join("eta_prof_track_test");
+        let dir = test_dir("round_trip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("history.jsonl");
         std::fs::remove_file(&path).ok();
@@ -447,22 +452,22 @@ mod tests {
         let base = baselines(&history);
         let key = ("gemm_packed".to_string(), "nt".to_string());
         assert_eq!(base.get(&key).unwrap().git_sha, "bbb");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_history_fails_loudly() {
-        let dir = std::env::temp_dir().join("eta_prof_track_corrupt");
+        let dir = test_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("history.jsonl");
         std::fs::write(&path, "not json\n").unwrap();
         assert!(read(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_history_reads_empty() {
-        let path = std::env::temp_dir().join("eta_prof_track_missing/none.jsonl");
+        let path = test_dir("missing").join("none.jsonl");
         assert!(read(&path).unwrap().is_empty());
     }
 

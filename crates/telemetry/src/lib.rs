@@ -490,7 +490,7 @@ mod tests {
 
     #[test]
     fn jsonl_stream_starts_with_manifest_and_parses() {
-        let dir = std::env::temp_dir().join("eta_telemetry_unit");
+        let dir = std::env::temp_dir().join(format!("eta_telemetry_unit_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stream_unit.jsonl");
         let t = Telemetry::with_jsonl(test_manifest(), &path).unwrap();
@@ -508,7 +508,7 @@ mod tests {
             let v: serde::Value = serde_json::from_str(line).unwrap();
             assert!(v.field("type").unwrap().as_str().is_some());
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[derive(Default)]

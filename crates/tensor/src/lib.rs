@@ -19,7 +19,7 @@
 //!
 //! let w = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
 //! let x = Matrix::from_vec(3, 1, vec![1.0, 0.0, -1.0]).unwrap();
-//! let y = w.matmul(&x).unwrap();
+//! let y = w.matmul_nn(&x).unwrap();
 //! assert_eq!(y.as_slice(), &[-2.0, -2.0]);
 //! let a = activation::sigmoid(0.0);
 //! assert_eq!(a, 0.5);

@@ -24,10 +24,8 @@ use serde::{Deserialize, Serialize};
 /// knob.
 pub const PACK_MIN_FLOPS: usize = 32 * 32 * 32;
 
-/// Per-row kernel shared by the serial and parallel `nn` paths:
-/// `out_row += a_row · B` with the zero-skip the serial kernel uses.
-/// Keeping one implementation guarantees the parallel panels are
-/// bit-identical to the serial sweep.
+/// Per-row body of the naive `nn` loop: `out_row += a_row · B` with a
+/// zero-skip on the A element.
 #[inline]
 fn nn_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
     debug_assert_eq!(b.len(), a_row.len() * n);
@@ -42,8 +40,7 @@ fn nn_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
     }
 }
 
-/// Per-row kernel shared by the serial and parallel `nt` paths:
-/// `out_row[j] = a_row · b_row_j`.
+/// Per-row body of the naive `nt` loop: `out_row[j] = a_row · b_row_j`.
 #[inline]
 fn nt_row(a_row: &[f32], b: &[f32], k: usize, out_row: &mut [f32]) {
     debug_assert_eq!(b.len(), out_row.len() * k);
@@ -55,6 +52,14 @@ fn nt_row(a_row: &[f32], b: &[f32], k: usize, out_row: &mut [f32]) {
         }
         *o = acc;
     }
+}
+
+/// Rows `[row0, row0 + rows)` of a row-major buffer of `k`-wide rows —
+/// the A slice a row-block worker consumes.
+#[inline]
+fn row_block(a: &[f32], k: usize, row0: usize, rows: usize) -> &[f32] {
+    debug_assert!((row0 + rows) * k <= a.len());
+    &a[row0 * k..(row0 + rows) * k]
 }
 
 /// A dense row-major `f32` matrix.
@@ -202,25 +207,12 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns the transposed matrix.
+    /// Returns the transposed matrix. Cache-blocked (32×32 tiles so both
+    /// the source rows and destination rows of a tile fit in L1
+    /// together): the SIMD `tn` path transposes A once so the streaming
+    /// row kernel can read it contiguously instead of striding down
+    /// columns — O(r·c) copies next to the O(r·c·n) GEMM that follows.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// Cache-blocked transpose (32×32 tiles so both the source rows and
-    /// destination rows of a tile fit in L1 together). Bit-identical to
-    /// [`Matrix::transpose`] — it moves values, never computes — and
-    /// used by the SIMD `tn` path, which transposes A once so the
-    /// streaming row kernel can read it contiguously instead of
-    /// striding down columns. O(r·c) copies next to the O(r·c·n) GEMM
-    /// that follows.
-    pub(crate) fn transposed_blocked(&self) -> Matrix {
         const TB: usize = 32;
         let (r, c) = (self.rows, self.cols);
         let mut out = Matrix::zeros(c, r);
@@ -238,21 +230,13 @@ impl Matrix {
         out
     }
 
-    /// Standard matrix product `self · rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_nn(rhs)
-    }
-
     /// `self · rhs` with both operands untransposed:
     /// `[m, k] · [k, n] -> [m, n]`.
     ///
-    /// Above [`PACK_MIN_FLOPS`] the product runs through the packed
-    /// register-blocked kernel; results are bit-identical to
-    /// [`Matrix::matmul_nn_naive`] either way.
+    /// Above [`PACK_MIN_FLOPS`] the product packs `rhs` and runs the
+    /// register-blocked kernel (bit-identical to
+    /// [`Matrix::matmul_nn_naive`] on the scalar tier, ULP-bounded
+    /// under SIMD); below it, the naive loop.
     ///
     /// # Errors
     ///
@@ -260,7 +244,7 @@ impl Matrix {
     pub fn matmul_nn(&self, rhs: &Matrix) -> Result<Matrix> {
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         if self.cols == rhs.rows && m * k * n >= PACK_MIN_FLOPS {
-            return self.matmul_nn_packed(&PackedB::from_nn(rhs));
+            return self.par_matmul_nn_packed(&PackedB::from_nn(rhs), &ParallelConfig::serial());
         }
         self.matmul_nn_naive(rhs)
     }
@@ -289,39 +273,14 @@ impl Matrix {
         Ok(out)
     }
 
-    /// `self · B` against an already-packed B (`[k, n]` packed with
-    /// [`PackedB::from_nn`]) — always the register-blocked kernel, so
-    /// callers holding a panel cache (LSTM weights) skip both the
-    /// dispatch and the packing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != pb.k()`.
-    pub fn matmul_nn_packed(&self, pb: &PackedB) -> Result<Matrix> {
-        if self.cols != pb.k() {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_nn_packed",
-                lhs: (self.rows, self.cols),
-                rhs: (pb.k(), pb.n()),
-            });
-        }
-        let (m, k) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(m, pb.n());
-        if crate::simd::use_simd(m, k, pb.n()) {
-            crate::simd::gemm_rows_nn(&self.data, m, k, pb, &mut out.data, Store::Assign);
-        } else {
-            kernels::gemm_nn_rows(&self.data, m, k, pb, &mut out.data, Store::Assign);
-        }
-        Ok(out)
-    }
-
     /// `self · rhsᵀ`: `[m, k] · [n, k]ᵀ -> [m, n]`.
     ///
     /// This is the forward-propagation orientation: activations
     /// `[batch, in] · W[out, in]ᵀ -> [batch, out]`. Above
-    /// [`PACK_MIN_FLOPS`] the product runs through the packed
-    /// register-blocked kernel; results are bit-identical to
-    /// [`Matrix::matmul_nt_naive`] either way.
+    /// [`PACK_MIN_FLOPS`] the product packs `rhs` and runs the
+    /// register-blocked kernel (bit-identical to
+    /// [`Matrix::matmul_nt_naive`] on the scalar tier, ULP-bounded
+    /// under SIMD); below it, the naive loop.
     ///
     /// # Errors
     ///
@@ -329,7 +288,10 @@ impl Matrix {
     pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         if self.cols == rhs.cols && m * k * n >= PACK_MIN_FLOPS {
-            return self.matmul_nt_packed(&PackedB::from_nt(rhs));
+            let mut out = Matrix::zeros(m, n);
+            let serial = ParallelConfig::serial();
+            self.matmul_nt_packed_into(&PackedB::from_nt(rhs), &mut out, Store::Assign, &serial)?;
+            return Ok(out);
         }
         self.matmul_nt_naive(rhs)
     }
@@ -354,30 +316,6 @@ impl Matrix {
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
             nt_row(a_row, &rhs.data, k, &mut out.data[i * n..(i + 1) * n]);
-        }
-        Ok(out)
-    }
-
-    /// `self · Bᵀ` against an already-packed B (`[n, k]` packed with
-    /// [`PackedB::from_nt`]) — always the register-blocked kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != pb.k()`.
-    pub fn matmul_nt_packed(&self, pb: &PackedB) -> Result<Matrix> {
-        if self.cols != pb.k() {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_nt_packed",
-                lhs: (self.rows, self.cols),
-                rhs: (pb.n(), pb.k()),
-            });
-        }
-        let (m, k) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(m, pb.n());
-        if crate::simd::use_simd(m, k, pb.n()) {
-            crate::simd::gemm_rows_nt(&self.data, m, k, pb, &mut out.data, Store::Assign);
-        } else {
-            kernels::gemm_nt_rows(&self.data, m, k, pb, &mut out.data, Store::Assign);
         }
         Ok(out)
     }
@@ -408,22 +346,9 @@ impl Matrix {
                 rhs: (pb.n(), pb.k()),
             });
         }
-        // The SIMD decision is a function of the FULL logical shape,
-        // fixed before any row partitioning, so every worker (and the
-        // serial sweep) lands on the same kernel family.
-        let simd = crate::simd::use_simd(m, k, n);
-        if !cfg.should_parallelize(m, k, n, m) {
-            if simd {
-                crate::simd::gemm_rows_nt(&self.data, m, k, pb, &mut out.data, store);
-            } else {
-                kernels::gemm_nt_rows(&self.data, m, k, pb, &mut out.data, store);
-            }
-            return Ok(());
-        }
         let a = &self.data;
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            debug_assert!((row0 + rows) * k <= a.len());
-            let a_rows = &a[row0 * k..(row0 + rows) * k];
+        Self::dispatch_rows(&mut out.data, (m, k, n), cfg, |simd, row0, rows, chunk| {
+            let a_rows = row_block(a, k, row0, rows);
             if simd {
                 crate::simd::gemm_rows_nt(a_rows, rows, k, pb, chunk, store);
             } else {
@@ -458,22 +383,10 @@ impl Matrix {
                 rhs: (pb.n(), pb.k()),
             });
         }
-        // Shape-global SIMD decision, same rationale as
-        // `matmul_nt_packed_into`.
-        let simd = crate::simd::use_simd(m, k, n);
-        if !cfg.should_parallelize(m, k, n, m) {
-            if simd {
-                crate::simd::gemm_rows_nt_epilogue(&self.data, m, k, pb, &mut out.data, &f);
-            } else {
-                kernels::gemm_nt_rows_epilogue(&self.data, m, k, pb, &mut out.data, &f);
-            }
-            return Ok(());
-        }
         let a = &self.data;
         let f = &f;
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            debug_assert!((row0 + rows) * k <= a.len());
-            let a_rows = &a[row0 * k..(row0 + rows) * k];
+        Self::dispatch_rows(&mut out.data, (m, k, n), cfg, |simd, row0, rows, chunk| {
+            let a_rows = row_block(a, k, row0, rows);
             if simd {
                 crate::simd::gemm_rows_nt_epilogue(a_rows, rows, k, pb, chunk, f);
             } else {
@@ -488,10 +401,11 @@ impl Matrix {
     /// This is the weight-gradient orientation: gate gradients
     /// `[batch, out]ᵀ · x [batch, in] -> [out, in]` (the paper's outer
     /// product summed over the batch, Eq. 3). Above [`PACK_MIN_FLOPS`]
-    /// the product runs through the packed register-blocked kernel;
-    /// results are bit-identical to [`Matrix::matmul_tn_naive`] either
-    /// way (the tiled kernel accumulates each output element over the
-    /// same ascending batch order `p = 0..k`).
+    /// the product packs `rhs` and runs the register-blocked kernel
+    /// (bit-identical to [`Matrix::matmul_tn_naive`] on the scalar
+    /// tier — the tiled kernel accumulates each output element over the
+    /// same ascending batch order `p = 0..k` — and ULP-bounded under
+    /// SIMD); below it, the naive loop.
     ///
     /// # Errors
     ///
@@ -499,7 +413,9 @@ impl Matrix {
     pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         if self.rows == rhs.rows && m * k * n >= PACK_MIN_FLOPS {
-            return self.matmul_tn_packed(&PackedB::from_nn(rhs));
+            let mut out = Matrix::zeros(m, n);
+            self.tn_packed(rhs, &mut out.data, Store::Assign, &ParallelConfig::serial());
+            return Ok(out);
         }
         self.matmul_tn_naive(rhs)
     }
@@ -538,38 +454,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// `selfᵀ · B` against an already-packed B (`[k, n]` packed with
-    /// [`PackedB::from_nn`]) — always the register-blocked kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.rows != pb.k()`.
-    pub fn matmul_tn_packed(&self, pb: &PackedB) -> Result<Matrix> {
-        if self.rows != pb.k() {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_tn_packed",
-                lhs: (self.rows, self.cols),
-                rhs: (pb.k(), pb.n()),
-            });
-        }
-        let (k, m) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(m, pb.n());
-        if crate::simd::use_simd(m, k, pb.n()) {
-            // The scalar `tn` kernel strides down A columns (stride
-            // `m` floats per reduction step), which is the pathology
-            // behind its 1.3x-over-naive plateau. The SIMD path gives
-            // `tn` its own layout instead: a blocked transpose of A
-            // into row-major `[m, k]`, after which the streaming row
-            // kernel (contiguous A reads, L1-resident panel slices)
-            // serves it exactly like `nn`.
-            let at = self.transposed_blocked();
-            crate::simd::gemm_rows_nn(&at.data, m, k, pb, &mut out.data, Store::Assign);
-        } else {
-            kernels::gemm_tn_rows(&self.data, m, k, 0, m, pb, &mut out.data, Store::Assign);
-        }
-        Ok(out)
-    }
-
     /// In-place accumulating `out += selfᵀ · rhs` — the weight-gradient
     /// hot path (`dW += δᵀ · x` at every timestep). The rhs changes
     /// every timestep so it is packed fresh here when large enough;
@@ -598,70 +482,59 @@ impl Matrix {
         if m * k * n < PACK_MIN_FLOPS {
             return out.add_assign(&self.matmul_tn_naive(rhs)?);
         }
-        let pb = PackedB::from_nn_par(rhs, cfg);
-        if crate::simd::use_simd(m, k, n) {
-            // tn's own SIMD layout: transpose A once (blocked), then
-            // stream the row kernel — see `matmul_tn_packed`. The
-            // transpose is shared by all workers; each consumes a
-            // disjoint row slice, so parallel results stay bitwise
-            // equal to serial.
-            let at = self.transposed_blocked();
-            let a = &at.data;
-            if !cfg.should_parallelize(m, k, n, m) {
-                crate::simd::gemm_rows_nn(a, m, k, &pb, &mut out.data, Store::Add);
-                return Ok(());
-            }
-            Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-                debug_assert!((row0 + rows) * k <= a.len());
-                crate::simd::gemm_rows_nn(
-                    &a[row0 * k..(row0 + rows) * k],
-                    rows,
-                    k,
-                    &pb,
-                    chunk,
-                    Store::Add,
-                );
-            });
-            return Ok(());
-        }
-        let a = &self.data;
-        if !cfg.should_parallelize(m, k, n, m) {
-            kernels::gemm_tn_rows(a, m, k, 0, m, &pb, &mut out.data, Store::Add);
-            return Ok(());
-        }
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            kernels::gemm_tn_rows(a, m, k, row0, rows, &pb, chunk, Store::Add);
-        });
+        self.tn_packed(rhs, &mut out.data, Store::Add, cfg);
         Ok(())
     }
 
-    /// Multi-threaded `self · rhsᵀ` with an explicit thread count;
-    /// kept for callers that predate [`ParallelConfig`]. Equivalent to
-    /// [`Matrix::par_matmul_nt`] under
-    /// [`ParallelConfig::with_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.cols`.
-    pub fn matmul_nt_par(&self, rhs: &Matrix, threads: usize) -> Result<Matrix> {
-        self.par_matmul_nt(rhs, &ParallelConfig::with_threads(threads))
+    /// The packed `tn` body behind [`Matrix::matmul_tn`] and
+    /// [`Matrix::matmul_tn_acc_into`]; shapes are already checked.
+    fn tn_packed(&self, rhs: &Matrix, out: &mut [f32], store: Store, cfg: &ParallelConfig) {
+        let (k, m, n) = (self.rows, self.cols, rhs.cols);
+        let pb = PackedB::from_nn_par(rhs, cfg);
+        // The scalar `tn` kernel strides down A columns (stride `m`
+        // floats per reduction step), which is the pathology behind its
+        // 1.3x-over-naive plateau. The SIMD tier gives `tn` its own
+        // layout instead: a blocked transpose of A into row-major
+        // `[m, k]`, after which the streaming row kernel (contiguous A
+        // reads, L1-resident panel slices) serves it exactly like `nn`.
+        // The transpose is shared by all workers; each consumes a
+        // disjoint row slice, so parallel results stay bitwise equal to
+        // serial.
+        let at = crate::simd::use_simd(m, k, n).then(|| self.transpose());
+        let a = &self.data;
+        Self::dispatch_rows(out, (m, k, n), cfg, |_, row0, rows, chunk| match &at {
+            Some(at) => {
+                let a_rows = row_block(&at.data, k, row0, rows);
+                crate::simd::gemm_rows_nn(a_rows, rows, k, &pb, chunk, store);
+            }
+            None => kernels::gemm_tn_rows(a, m, k, row0, rows, &pb, chunk, store),
+        });
     }
 
-    /// Splits an `[m, n]` output buffer into one disjoint row block per
-    /// worker and runs `kernel(row0, rows, chunk)` on each block in a
-    /// scoped thread. Blocks are a deterministic function of `(m,
-    /// threads)` and each block is produced by the same serial kernel
-    /// sweep it would see single-threaded, so the partitioning never
-    /// changes results.
-    fn par_row_blocks<K>(out: &mut [f32], m: usize, n: usize, threads: usize, kernel: K)
-    where
-        K: Fn(usize, usize, &mut [f32]) + Sync,
+    /// The one GEMM dispatch sequence. The kernel family is fixed from
+    /// the FULL logical `[m, k] · [k, n]` shape before any row
+    /// partitioning, so every worker (and the serial sweep) lands on
+    /// the same family; then `kernel(simd, row0, rows, out_rows)` runs
+    /// once over the whole `[m, n]` output, or — when `cfg` allows — on
+    /// one disjoint row block per worker in a scoped thread. Blocks are
+    /// a deterministic function of `(m, threads)` and each is produced
+    /// by the same serial kernel sweep it would see single-threaded, so
+    /// the partitioning never changes results.
+    fn dispatch_rows<K>(
+        out: &mut [f32],
+        (m, k, n): (usize, usize, usize),
+        cfg: &ParallelConfig,
+        kernel: K,
+    ) where
+        K: Fn(bool, usize, usize, &mut [f32]) + Sync,
     {
+        let simd = crate::simd::use_simd(m, k, n);
+        if !cfg.should_parallelize(m, k, n, m) {
+            return kernel(simd, 0, m, out);
+        }
         // One spawn per row block; clamping the block count to the
         // machine keeps the shim's thread-per-spawn model honest.
-        // Partitioning is latency-only: each block still sees the same
-        // serial kernel sweep, so results are unchanged.
-        let threads = threads.min(rayon::current_num_threads()).max(1);
+        let threads = cfg.threads.min(rayon::current_num_threads()).max(1);
         let rows_per = m.div_ceil(threads).max(1);
         debug_assert!(rows_per.saturating_mul(threads) >= m);
         let kernel = &kernel;
@@ -670,39 +543,17 @@ impl Matrix {
                 let row0 = chunk_idx * rows_per;
                 scope.spawn(move |_| {
                     let rows = chunk.len() / n.max(1);
-                    kernel(row0, rows, chunk);
+                    kernel(simd, row0, rows, chunk);
                 });
             }
         });
     }
 
-    /// Parallel `self · rhs` — packs B once, then partitions the output
-    /// into row blocks that each run the register-blocked kernel.
-    /// Bit-identical to [`Matrix::matmul_nn`] (every output element is
-    /// one accumulator summing ascending `p` on both paths), with a
-    /// serial fallback below the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.rows`.
-    pub fn par_matmul_nn(&self, rhs: &Matrix, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_nn",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_nn(rhs);
-        }
-        self.par_matmul_nn_packed(&PackedB::from_nn_par(rhs, cfg), cfg)
-    }
-
-    /// Parallel `self · B` against an already-packed B — row blocks of
-    /// the register-blocked `nn` kernel, no packing cost. Falls back to
-    /// the serial packed kernel below the config's size threshold.
+    /// `self · B` against an already-packed B (`[k, n]` packed with
+    /// [`PackedB::from_nn`]) — the register-blocked `nn` kernel with no
+    /// packing cost, over row blocks when `cfg` allows. Callers holding
+    /// a panel cache (LSTM weights) skip both the size dispatch and the
+    /// packing.
     ///
     /// # Errors
     ///
@@ -716,125 +567,15 @@ impl Matrix {
             });
         }
         let (m, k, n) = (self.rows, self.cols, pb.n());
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_nn_packed(pb);
-        }
-        let simd = crate::simd::use_simd(m, k, n);
         let a = &self.data;
         let mut out = Matrix::zeros(m, n);
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            debug_assert!((row0 + rows) * k <= a.len());
-            let a_rows = &a[row0 * k..(row0 + rows) * k];
+        Self::dispatch_rows(&mut out.data, (m, k, n), cfg, |simd, row0, rows, chunk| {
+            let a_rows = row_block(a, k, row0, rows);
             if simd {
                 crate::simd::gemm_rows_nn(a_rows, rows, k, pb, chunk, Store::Assign);
             } else {
                 kernels::gemm_nn_rows(a_rows, rows, k, pb, chunk, Store::Assign);
             }
-        });
-        Ok(out)
-    }
-
-    /// Parallel `self · rhsᵀ` (the forward-propagation orientation) —
-    /// packs B once, then row blocks of the register-blocked kernel.
-    /// Bit-identical to [`Matrix::matmul_nt`], with a serial fallback
-    /// below the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.cols`.
-    pub fn par_matmul_nt(&self, rhs: &Matrix, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.cols != rhs.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_nt",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_nt(rhs);
-        }
-        self.par_matmul_nt_packed(&PackedB::from_nt_par(rhs, cfg), cfg)
-    }
-
-    /// Parallel `self · Bᵀ` against an already-packed B — row blocks of
-    /// the register-blocked `nt` kernel, no packing cost. Falls back to
-    /// the serial packed kernel below the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != pb.k()`.
-    pub fn par_matmul_nt_packed(&self, pb: &PackedB, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.cols != pb.k() {
-            return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_nt_packed",
-                lhs: (self.rows, self.cols),
-                rhs: (pb.n(), pb.k()),
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, pb.n());
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_nt_packed(pb);
-        }
-        let simd = crate::simd::use_simd(m, k, n);
-        let a = &self.data;
-        let mut out = Matrix::zeros(m, n);
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            debug_assert!((row0 + rows) * k <= a.len());
-            let a_rows = &a[row0 * k..(row0 + rows) * k];
-            if simd {
-                crate::simd::gemm_rows_nt(a_rows, rows, k, pb, chunk, Store::Assign);
-            } else {
-                kernels::gemm_nt_rows(a_rows, rows, k, pb, chunk, Store::Assign);
-            }
-        });
-        Ok(out)
-    }
-
-    /// Parallel `selfᵀ · rhs` (the weight-gradient orientation) —
-    /// packs B once, then partitions over **output** rows (columns of
-    /// `self`), with each element accumulating over the batch dimension
-    /// in the same ascending order as [`Matrix::matmul_tn`], so results
-    /// are bit-identical to the serial kernel. Serial fallback below
-    /// the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.rows != rhs.rows`.
-    pub fn par_matmul_tn(&self, rhs: &Matrix, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.rows != rhs.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_tn",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_tn(rhs);
-        }
-        let pb = PackedB::from_nn_par(rhs, cfg);
-        let mut out = Matrix::zeros(m, n);
-        if crate::simd::use_simd(m, k, n) {
-            // tn's own SIMD layout — see `matmul_tn_packed`.
-            let at = self.transposed_blocked();
-            let a = &at.data;
-            Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-                debug_assert!((row0 + rows) * k <= a.len());
-                crate::simd::gemm_rows_nn(
-                    &a[row0 * k..(row0 + rows) * k],
-                    rows,
-                    k,
-                    &pb,
-                    chunk,
-                    Store::Assign,
-                );
-            });
-            return Ok(out);
-        }
-        let a = &self.data;
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            kernels::gemm_tn_rows(a, m, k, row0, rows, &pb, chunk, Store::Assign);
         });
         Ok(out)
     }
@@ -1163,24 +904,19 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
-    #[test]
-    fn parallel_matmul_matches_serial() {
-        use crate::init;
-        // Above the parallel threshold.
-        let a = init::uniform(256, 160, -1.0, 1.0, 11);
-        let b = init::uniform(200, 160, -1.0, 1.0, 12);
-        let serial = a.matmul_nt(&b).unwrap();
-        for threads in [1usize, 2, 4, 7] {
-            let par = a.matmul_nt_par(&b, threads).unwrap();
-            assert!(par.rel_diff(&serial) < 1e-6, "threads={threads}");
-        }
-        // Below the threshold (fallback path).
-        let small = init::uniform(8, 8, -1.0, 1.0, 13);
-        assert_eq!(
-            small.matmul_nt_par(&small, 4).unwrap(),
-            small.matmul_nt(&small).unwrap()
-        );
-        assert!(a.matmul_nt_par(&Matrix::zeros(5, 9), 2).is_err());
+    /// `a · bᵀ` through the packed in-place entry under `cfg`.
+    fn nt_into(a: &Matrix, b: &Matrix, cfg: &ParallelConfig) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        a.matmul_nt_packed_into(&PackedB::from_nt(b), &mut out, Store::Assign, cfg)
+            .unwrap();
+        out
+    }
+
+    /// `aᵀ · b` through the accumulating entry onto zeros under `cfg`.
+    fn tn_into(a: &Matrix, b: &Matrix, cfg: &ParallelConfig) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        a.matmul_tn_acc_into(b, &mut out, cfg).unwrap();
+        out
     }
 
     /// The determinism contract of the η-parallel kernels: above the
@@ -1199,30 +935,36 @@ mod tests {
         for threads in [2usize, 3, 5, 8] {
             cfg.threads = threads;
             assert_eq!(
-                a.par_matmul_nn(&b_nn, &cfg).unwrap(),
+                a.par_matmul_nn_packed(&PackedB::from_nn(&b_nn), &cfg)
+                    .unwrap(),
                 a.matmul_nn(&b_nn).unwrap(),
                 "nn threads={threads}"
             );
             assert_eq!(
-                a.par_matmul_nt(&b_nt, &cfg).unwrap(),
+                nt_into(&a, &b_nt, &cfg),
                 a.matmul_nt(&b_nt).unwrap(),
                 "nt threads={threads}"
             );
             assert_eq!(
-                a.par_matmul_tn(&b_tn, &cfg).unwrap(),
+                tn_into(&a, &b_tn, &cfg),
                 a.matmul_tn(&b_tn).unwrap(),
                 "tn threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_kernels_reject_shape_mismatches() {
-        let cfg = ParallelConfig::with_threads(4);
-        let a = Matrix::zeros(4, 6);
-        assert!(a.par_matmul_nn(&Matrix::zeros(5, 4), &cfg).is_err());
-        assert!(a.par_matmul_nt(&Matrix::zeros(4, 5), &cfg).is_err());
-        assert!(a.par_matmul_tn(&Matrix::zeros(5, 4), &cfg).is_err());
+        // Above the default parallel threshold, unforced.
+        let a = init::uniform(256, 160, -1.0, 1.0, 11);
+        let b = init::uniform(200, 160, -1.0, 1.0, 12);
+        let serial = a.matmul_nt(&b).unwrap();
+        for threads in [1usize, 2, 4, 7] {
+            let cfg = ParallelConfig::with_threads(threads);
+            assert_eq!(nt_into(&a, &b, &cfg), serial, "threads={threads}");
+        }
+        // Below it (serial fallback inside the parallel entry).
+        let small = init::uniform(8, 8, -1.0, 1.0, 13);
+        assert_eq!(
+            nt_into(&small, &small, &ParallelConfig::with_threads(4)),
+            small.matmul_nt(&small).unwrap()
+        );
     }
 
     #[test]
@@ -1297,9 +1039,14 @@ mod tests {
             assert_gemm_close(&nn, &a.matmul_nn_naive(&b_nn).unwrap(), &abs_nn, k);
             assert_gemm_close(&nt, &a.matmul_nt_naive(&b_nt).unwrap(), &abs_nt, k);
             assert_gemm_close(&tn, &a_tn.matmul_tn_naive(&b_nn).unwrap(), &abs_tn, k);
-            assert_eq!(nn, a.matmul_nn_packed(&PackedB::from_nn(&b_nn)).unwrap());
-            assert_eq!(nt, a.matmul_nt_packed(&PackedB::from_nt(&b_nt)).unwrap());
-            assert_eq!(tn, a_tn.matmul_tn_packed(&PackedB::from_nn(&b_nn)).unwrap());
+            let serial = ParallelConfig::serial();
+            assert_eq!(
+                nn,
+                a.par_matmul_nn_packed(&PackedB::from_nn(&b_nn), &serial)
+                    .unwrap()
+            );
+            assert_eq!(nt, nt_into(&a, &b_nt, &serial));
+            assert_eq!(tn, tn_into(&a_tn, &b_nn, &serial));
         } else {
             assert_eq!(nn, a.matmul_nn_naive(&b_nn).unwrap());
             assert_eq!(nt, a.matmul_nt_naive(&b_nt).unwrap());
@@ -1308,21 +1055,22 @@ mod tests {
     }
 
     #[test]
-    fn blocked_transpose_is_bit_identical_to_naive_transpose() {
+    fn transpose_moves_every_element_across_tile_edges() {
         use crate::init;
         // Tile edges in both dimensions, plus degenerate shapes.
         for (r, c) in [(1usize, 1usize), (31, 33), (32, 32), (65, 100), (3, 200)] {
             let a = init::uniform(r, c, -2.0, 2.0, (r * 1000 + c) as u64);
-            assert_eq!(a.transposed_blocked(), a.transpose(), "{r}x{c}");
+            let expected = Matrix::from_fn(c, r, |i, j| a.get(j, i));
+            assert_eq!(a.transpose(), expected, "{r}x{c}");
         }
     }
 
     #[test]
     fn into_and_epilogue_forms_agree_with_dispatch_above_threshold() {
         use crate::init;
-        // The cell's forward_with (dispatch) and forward_ws (packed
-        // workspace) paths must stay bitwise interchangeable above the
-        // SIMD threshold — the dispatch decision is a function of the
+        // The reference cell (dispatch entries) and the production
+        // cell (packed entries) must stay bitwise interchangeable above
+        // the SIMD threshold — the dispatch decision is a function of the
         // full logical shape only.
         let cfg = ParallelConfig::serial();
         let x = init::uniform(48, 40, -1.0, 1.0, 51);
@@ -1353,13 +1101,10 @@ mod tests {
         // agree with the naive loops bitwise, even below the dispatch
         // threshold.
         assert_eq!(
-            a.matmul_nn_packed(&pb_nn).unwrap(),
+            a.par_matmul_nn_packed(&pb_nn, &cfg).unwrap(),
             a.matmul_nn_naive(&b_nn).unwrap()
         );
-        assert_eq!(
-            a.matmul_nt_packed(&pb_nt).unwrap(),
-            a.matmul_nt_naive(&b_nt).unwrap()
-        );
+        assert_eq!(nt_into(&a, &b_nt, &cfg), a.matmul_nt_naive(&b_nt).unwrap());
         // The into/accumulate forms match product-then-add_assign.
         let base = init::uniform(9, 10, -1.0, 1.0, 17);
         let mut acc = base.clone();
@@ -1382,10 +1127,10 @@ mod tests {
 
         // Shape mismatches are rejected on every packed entry point.
         assert!(a
-            .matmul_nn_packed(&PackedB::from_nn(&Matrix::zeros(5, 4)))
+            .par_matmul_nn_packed(&PackedB::from_nn(&Matrix::zeros(5, 4)), &cfg)
             .is_err());
         assert!(a
-            .matmul_nt_packed(&PackedB::from_nt(&Matrix::zeros(4, 5)))
+            .matmul_nt_packed_epilogue(&pb_nt, &mut Matrix::zeros(9, 3), &cfg, |_, v| v)
             .is_err());
         assert!(a
             .matmul_nt_packed_into(&pb_nt, &mut Matrix::zeros(9, 3), Store::Assign, &cfg)

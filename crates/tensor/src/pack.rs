@@ -77,31 +77,13 @@ fn fill_nt_panel(chunk: &mut [f32], src: &[f32], k: usize, n: usize, panel_idx: 
 impl PackedB {
     /// Packs a `[k, n]` matrix (the rhs of an `nn` or `tn` product).
     pub fn from_nn(b: &Matrix) -> Self {
-        let (k, n) = (b.rows(), b.cols());
-        let panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; panels * k * NR];
-        if k > 0 {
-            let src = b.as_slice();
-            for (panel, chunk) in data.chunks_exact_mut(k * NR).enumerate() {
-                fill_nn_panel(chunk, src, k, n, panel);
-            }
-        }
-        PackedB { k, n, data }
+        Self::from_nn_par(b, &ParallelConfig::serial())
     }
 
     /// Packs a `[n, k]` matrix (the rhs of an `nt` product), performing
     /// the transpose during packing.
     pub fn from_nt(b: &Matrix) -> Self {
-        let (n, k) = (b.rows(), b.cols());
-        let panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; panels * k * NR];
-        if k > 0 {
-            let src = b.as_slice();
-            for (panel, chunk) in data.chunks_exact_mut(k * NR).enumerate() {
-                fill_nt_panel(chunk, src, k, n, panel);
-            }
-        }
-        PackedB { k, n, data }
+        Self::from_nt_par(b, &ParallelConfig::serial())
     }
 
     /// [`PackedB::from_nn`] with worker threads filling disjoint panel
@@ -119,8 +101,8 @@ impl PackedB {
         Self::pack_par(b.cols(), b.rows(), b.as_slice(), cfg, fill_nt_panel)
     }
 
-    /// Shared parallel-pack driver: splits the panel-major buffer into
-    /// one contiguous chunk of whole panels per worker. Falls back to
+    /// The one packing body: splits the panel-major buffer into one
+    /// contiguous chunk of whole panels per worker. Falls back to
     /// the serial loop when the config says serial, the panel count
     /// cannot feed every worker, or the copy volume (`k * n` values)
     /// is below the kernel-flops threshold — a pack moves one byte per
@@ -136,13 +118,16 @@ impl PackedB {
         let mut data = vec![0.0f32; panels * k * NR];
         if k > 0 {
             let stride = k * NR;
-            let workers = cfg
-                .threads
-                .min(rayon::current_num_threads())
-                .min(panels)
-                .max(1);
             if cfg.threads > 1 && panels >= cfg.threads && k * n >= cfg.min_kernel_flops {
                 crate::stats::record_panel_pack_parallel();
+                // Asked of the OS only on this branch: the query costs
+                // microseconds, which a serial pack of a small panel
+                // set (every unpacked `matmul_*` call) cannot afford.
+                let workers = cfg
+                    .threads
+                    .min(rayon::current_num_threads())
+                    .min(panels)
+                    .max(1);
                 let per = panels.div_ceil(workers);
                 rayon::scope(|s| {
                     for (w, slab) in data.chunks_mut(per * stride).enumerate() {

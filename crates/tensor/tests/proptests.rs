@@ -1,7 +1,44 @@
 //! Property-based tests for the tensor substrate.
 
-use eta_tensor::{activation, Matrix, PackedB, ParallelConfig, SparseVec, Store};
+use eta_tensor::{activation, kernels, Matrix, PackedB, ParallelConfig, SparseVec, Store};
 use proptest::prelude::*;
+
+/// `a · b` through the packed `nn` entry (always the tiled kernel).
+fn nn_packed(a: &Matrix, b: &Matrix, cfg: &ParallelConfig) -> Matrix {
+    a.par_matmul_nn_packed(&PackedB::from_nn_par(b, cfg), cfg)
+        .unwrap()
+}
+
+/// `a · bᵀ` through the packed in-place `nt` entry (always the tiled
+/// kernel).
+fn nt_packed(a: &Matrix, b: &Matrix, cfg: &ParallelConfig) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    a.matmul_nt_packed_into(&PackedB::from_nt_par(b, cfg), &mut out, Store::Assign, cfg)
+        .unwrap();
+    out
+}
+
+/// `aᵀ · b` through the tiled scalar `tn` kernel, produced as two row
+/// blocks the way a two-worker partition would (the `Matrix` entries
+/// only reach this kernel above `PACK_MIN_FLOPS`).
+fn tn_tiled(a: &Matrix, b: &Matrix) -> Matrix {
+    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    let pb = PackedB::from_nn(b);
+    let mut out = Matrix::zeros(m, n);
+    let (top, bottom) = out.as_mut_slice().split_at_mut((m / 2) * n);
+    kernels::gemm_tn_rows(a.as_slice(), m, k, 0, m / 2, &pb, top, Store::Assign);
+    kernels::gemm_tn_rows(
+        a.as_slice(),
+        m,
+        k,
+        m / 2,
+        m - m / 2,
+        &pb,
+        bottom,
+        Store::Assign,
+    );
+    out
+}
 
 /// Zero-seasoned random matrix: exact zeros are planted so the packed
 /// kernels' zero-skip branches get exercised alongside the dense path.
@@ -106,22 +143,20 @@ proptest! {
     ) {
         let a_nn = seasoned(m, k, seed);
         let b_nn = seasoned(k, n, seed.wrapping_add(1));
+        let serial = ParallelConfig::serial();
         prop_assert_eq!(
-            a_nn.matmul_nn_packed(&PackedB::from_nn(&b_nn)).unwrap(),
+            nn_packed(&a_nn, &b_nn, &serial),
             a_nn.matmul_nn_naive(&b_nn).unwrap()
         );
 
         let b_nt = seasoned(n, k, seed.wrapping_add(2));
         prop_assert_eq!(
-            a_nn.matmul_nt_packed(&PackedB::from_nt(&b_nt)).unwrap(),
+            nt_packed(&a_nn, &b_nt, &serial),
             a_nn.matmul_nt_naive(&b_nt).unwrap()
         );
 
         let a_tn = seasoned(k, m, seed.wrapping_add(3));
-        prop_assert_eq!(
-            a_tn.matmul_tn_packed(&PackedB::from_nn(&b_nn)).unwrap(),
-            a_tn.matmul_tn_naive(&b_nn).unwrap()
-        );
+        prop_assert_eq!(tn_tiled(&a_tn, &b_nn), a_tn.matmul_tn_naive(&b_nn).unwrap());
     }
 
     /// The implicit entry points (which dispatch on PACK_MIN_FLOPS) and
@@ -148,12 +183,11 @@ proptest! {
         prop_assert_eq!(a.matmul_nt(&b_nt).unwrap(), a.matmul_nt_naive(&b_nt).unwrap());
         prop_assert_eq!(a_tn.matmul_tn(&b_nn).unwrap(), a_tn.matmul_tn_naive(&b_nn).unwrap());
 
-        prop_assert_eq!(a.par_matmul_nn(&b_nn, &cfg).unwrap(), a.matmul_nn_naive(&b_nn).unwrap());
-        prop_assert_eq!(a.par_matmul_nt(&b_nt, &cfg).unwrap(), a.matmul_nt_naive(&b_nt).unwrap());
-        prop_assert_eq!(
-            a_tn.par_matmul_tn(&b_nn, &cfg).unwrap(),
-            a_tn.matmul_tn_naive(&b_nn).unwrap()
-        );
+        prop_assert_eq!(nn_packed(&a, &b_nn, &cfg), a.matmul_nn_naive(&b_nn).unwrap());
+        prop_assert_eq!(nt_packed(&a, &b_nt, &cfg), a.matmul_nt_naive(&b_nt).unwrap());
+        let mut tn = Matrix::zeros(m, n);
+        a_tn.matmul_tn_acc_into(&b_nn, &mut tn, &cfg).unwrap();
+        prop_assert_eq!(tn, a_tn.matmul_tn_naive(&b_nn).unwrap());
     }
 
     /// The in-place accumulate/epilogue forms match their composed

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example checkpoint_and_stream`
 
 use eta_lstm::core::inference::StreamingSession;
-use eta_lstm::core::{checkpoint, LstmConfig, Task, Trainer, TrainingStrategy};
+use eta_lstm::core::{persist, LstmConfig, Task, Trainer, TrainingStrategy};
 use eta_lstm::workloads::SyntheticTask;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,9 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("trained: final loss {:.4}", report.final_loss());
 
     // Persist and restore.
-    let json = checkpoint::to_json(trainer.model())?;
+    let json = persist::to_json(trainer.model())?;
     println!("checkpoint size: {} bytes of JSON", json.len());
-    let restored = checkpoint::from_json(&json)?;
+    let restored = persist::from_json(&json)?;
 
     // Serve: one timestep at a time with carried state.
     let batch = task.batch(999, 0);

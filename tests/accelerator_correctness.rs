@@ -17,7 +17,7 @@ fn channel_matvec_matches_tensor_matmul() {
         let xv: Vec<f32> = init::uniform(1, 24, -1.0, 1.0, seed + 100).into_vec();
         let (out, stats) = ch.matvec(&w, &xv);
         let xm = Matrix::from_vec(24, 1, xv.clone()).expect("shape");
-        let reference = w.matmul(&xm).expect("matmul");
+        let reference = w.matmul_nn(&xm).expect("matmul");
         for (a, b) in out.iter().zip(reference.as_slice().iter()) {
             assert!((a - b).abs() < 1e-3, "channel {a} vs tensor {b}");
         }

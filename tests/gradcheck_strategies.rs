@@ -18,8 +18,8 @@ use eta_lstm::core::model::{LstmModel, StepPlan};
 use eta_lstm::core::ms1::Ms1Config;
 use eta_lstm::core::ms2::SkipPlan;
 use eta_lstm::core::ms3::{self, LossScaler, Ms3Config};
-use eta_lstm::core::parallel::{train_step_sharded, Parallelism};
-use eta_lstm::core::{LstmConfig, Targets};
+use eta_lstm::core::parallel::{train_step_sharded_ws, Parallelism};
+use eta_lstm::core::{LstmConfig, Targets, Workspace, WorkspacePool};
 use eta_lstm::tensor::{init, Matrix, Precision};
 
 const LAYERS: usize = 2;
@@ -151,7 +151,14 @@ fn loss_scaling_is_bitwise_invisible_in_unscaled_gradients() {
     let (model, xs, targets) = two_layer_case();
     let inst = Instruments::new();
     let base = model
-        .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+        .train_step_ws(
+            &xs,
+            &targets,
+            &StepPlan::baseline(),
+            &inst,
+            None,
+            &mut Workspace::new(),
+        )
         .expect("baseline step");
     let scaled_plan = StepPlan {
         ms3: Some(Ms3Config::new(1, Precision::F32)),
@@ -159,7 +166,14 @@ fn loss_scaling_is_bitwise_invisible_in_unscaled_gradients() {
         ..StepPlan::baseline()
     };
     let scaled = model
-        .train_step(&xs, &targets, &scaled_plan, &inst)
+        .train_step_ws(
+            &xs,
+            &targets,
+            &scaled_plan,
+            &inst,
+            None,
+            &mut Workspace::new(),
+        )
         .expect("scaled step");
     assert_eq!(base.loss.to_bits(), scaled.loss.to_bits());
     assert!(!scaled.ms3_overflow);
@@ -192,7 +206,7 @@ fn overflowed_step_is_flagged_and_scaler_recovers() {
             ..StepPlan::baseline()
         };
         let result = model
-            .train_step(&xs, &targets, &plan, &inst)
+            .train_step_ws(&xs, &targets, &plan, &inst, None, &mut Workspace::new())
             .expect("step must not error on overflow");
         if !result.ms3_overflow {
             // Recovered: the surviving gradients must be finite and the
@@ -218,7 +232,14 @@ fn injected_infinity_trips_the_finite_gate() {
     let (model, xs, targets) = two_layer_case();
     let inst = Instruments::new();
     let mut result = model
-        .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+        .train_step_ws(
+            &xs,
+            &targets,
+            &StepPlan::baseline(),
+            &inst,
+            None,
+            &mut Workspace::new(),
+        )
         .expect("baseline step");
     assert!(ms3::grads_are_finite(&result.grads));
     result.grads.cells[0].dw.set(0, 0, f32::INFINITY);
@@ -235,15 +256,17 @@ fn serial_and_sharded_analytic_gradients_agree() {
     let inst = Instruments::new();
     for (strategy, plan) in strategy_plans() {
         let serial = model
-            .train_step(&xs, &targets, &plan, &inst)
+            .train_step_ws(&xs, &targets, &plan, &inst, None, &mut Workspace::new())
             .expect("serial step");
-        let sharded = train_step_sharded(
+        let sharded = train_step_sharded_ws(
             &model,
             &xs,
             &targets,
             &plan,
             &inst,
             &Parallelism::with_threads(4),
+            None,
+            &mut WorkspacePool::new(),
         )
         .expect("sharded step");
         assert!(

@@ -86,3 +86,135 @@ fn panel_cache_and_workspace_reuse_are_deterministic_across_runs() {
         assert_eq!(x.to_bits(), y.to_bits(), "epoch {epoch}: rerun diverged");
     }
 }
+
+/// The reference cell (`cell::forward` / `cell::backward`: unfused,
+/// serial, over the unpacked GEMM dispatchers) is only an oracle now,
+/// so it must be exercised where the production cell runs the packed
+/// and SIMD kernels — H = 64, B = 16 puts every cell GEMM at 8× the
+/// `PACK_MIN_FLOPS` gate — not only at hidden 24. Two-tier contract:
+/// bitwise when the scalar kernels back both sides (`ETA_SIMD=off` or
+/// no AVX2), otherwise within 8 ULP or the `2k·ε` condition floor
+/// (scaled by the tensor's largest magnitude: a six-step composite has
+/// no single `|A||B|`).
+#[test]
+fn reference_cell_matches_production_cell_above_the_packing_threshold() {
+    use eta_lstm::core::cell::{self, CellGrads, P1Dense};
+    use eta_lstm::core::layer::{Instruments, LstmLayer, StorageMode, TapeEntry};
+    use eta_lstm::core::{LayerPanels, Workspace};
+    use eta_lstm::tensor::{init, simd, Matrix, PACK_MIN_FLOPS};
+
+    const ULP_BUDGET: u32 = 8;
+    let (seq, batch, input, h) = (6usize, 16usize, 64usize, 64usize);
+    assert!(batch * input * 4 * h >= 8 * PACK_MIN_FLOPS);
+
+    let assert_two_tier = |label: &str, got: &Matrix, reference: &Matrix| {
+        let floor = 2.0 * (4 * h) as f32 * f32::EPSILON * reference.abs_max().max(1.0);
+        for (i, (&g, &r)) in got.as_slice().iter().zip(reference.as_slice()).enumerate() {
+            if !simd::enabled() {
+                assert_eq!(g.to_bits(), r.to_bits(), "{label}[{i}]: {g} vs {r}");
+                continue;
+            }
+            let ulp_ok = g == r
+                || (g.is_sign_positive() == r.is_sign_positive()
+                    && g.to_bits().abs_diff(r.to_bits()) <= ULP_BUDGET);
+            assert!(ulp_ok || (g - r).abs() <= floor, "{label}[{i}]: {g} vs {r}");
+        }
+    };
+
+    let layer = LstmLayer::new(input, h, 12);
+    let xs: Vec<Matrix> = (0..seq)
+        .map(|t| init::uniform(batch, input, -1.0, 1.0, 100 + t as u64))
+        .collect();
+    let mut dys: Vec<Matrix> = (0..seq).map(|_| Matrix::zeros(batch, h)).collect();
+    dys[seq - 1] = init::uniform(batch, h, -1.0, 1.0, 77);
+    let zero_h = Matrix::zeros(batch, h);
+
+    // Reference: the unfused cell, forward then reversed backward.
+    let mut ref_fws: Vec<cell::CellForward> = Vec::new();
+    for x in &xs {
+        let (h_prev, s_prev) = ref_fws
+            .last()
+            .map_or((&zero_h, &zero_h), |prev| (&prev.h, &prev.s));
+        let fw = cell::forward(&layer.params, x, h_prev, s_prev).expect("reference forward");
+        ref_fws.push(fw);
+    }
+    let mut ref_grads = CellGrads::zeros_like(&layer.params);
+    let mut ref_dxs = vec![Matrix::zeros(0, 0); seq];
+    let (mut dh_next, mut ds_next) = (zero_h.clone(), zero_h.clone());
+    for t in (0..seq).rev() {
+        let (h_prev, s_prev) = match t.checked_sub(1) {
+            Some(p) => (&ref_fws[p].h, &ref_fws[p].s),
+            None => (&zero_h, &zero_h),
+        };
+        let p1 = P1Dense::compute(&ref_fws[t], s_prev).expect("p1");
+        let dh_total = dys[t].add(&dh_next).expect("shapes");
+        let mut cg = CellGrads::zeros_like(&layer.params);
+        let out = cell::backward(
+            &layer.params,
+            &p1,
+            &xs[t],
+            h_prev,
+            &dh_total,
+            &ds_next,
+            &mut cg,
+        )
+        .expect("reference backward");
+        ref_grads.accumulate(&cg).expect("shapes");
+        ref_dxs[t] = out.dx;
+        dh_next = out.dh_prev;
+        ds_next = out.ds_prev;
+    }
+
+    // Production: cached panels, one workspace reused across both sweeps.
+    let kernel = ParallelConfig::serial();
+    let inst = Instruments::new();
+    let panels = LayerPanels::pack_with(&layer.params, &kernel);
+    let mut ws = Workspace::new();
+    let tape = layer
+        .forward_sequence_ws(
+            &xs,
+            StorageMode::Dense,
+            &[],
+            None,
+            &kernel,
+            &inst,
+            Some(&panels),
+            &mut ws,
+        )
+        .expect("production forward");
+    for (t, (entry, fw)) in tape.entries.iter().zip(&ref_fws).enumerate() {
+        let TapeEntry::Dense(got) = entry else {
+            panic!("expected a dense entry at t={t}, got {entry:?}")
+        };
+        for (name, g, r) in [
+            ("i", &got.i, &fw.i),
+            ("f", &got.f, &fw.f),
+            ("c", &got.c, &fw.c),
+            ("o", &got.o, &fw.o),
+            ("s", &got.s, &fw.s),
+            ("h", &got.h, &fw.h),
+        ] {
+            assert_two_tier(&format!("forward {name} t={t}"), g, r);
+        }
+    }
+    let back = layer
+        .backward_sequence_ws(
+            &xs,
+            &tape,
+            &dys,
+            1.0,
+            None,
+            &kernel,
+            &inst,
+            Some(&panels),
+            &mut ws,
+        )
+        .expect("production backward");
+    for (t, (g, r)) in back.dxs.iter().zip(&ref_dxs).enumerate() {
+        assert_two_tier(&format!("dx t={t}"), g, r);
+    }
+    assert_two_tier("dW", &back.grads.dw, &ref_grads.dw);
+    assert_two_tier("dU", &back.grads.du, &ref_grads.du);
+    let db = |v: &[f32]| Matrix::from_vec(1, v.len(), v.to_vec()).expect("row");
+    assert_two_tier("db", &db(&back.grads.db), &db(&ref_grads.db));
+}

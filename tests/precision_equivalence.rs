@@ -19,7 +19,7 @@
 use eta_lstm::core::layer::Instruments;
 use eta_lstm::core::model::{LstmModel, StepPlan, StepResult};
 use eta_lstm::core::ms3::Ms3Config;
-use eta_lstm::core::{LstmConfig, Targets};
+use eta_lstm::core::{LstmConfig, Targets, Workspace};
 use eta_lstm::tensor::lowp::{
     bf16_bits_to_f32, f16_bits_to_f32, f16_nearest_reference, f32_to_bf16_bits, f32_to_f16_bits,
     quantize,
@@ -235,7 +235,14 @@ proptest! {
         let (model, xs, targets) = random_case(input, hidden, layers, seq, batch, seed);
         let inst = Instruments::new();
         let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .train_step_ws(
+                &xs,
+                &targets,
+                &StepPlan::baseline(),
+                &inst,
+                None,
+                &mut Workspace::new(),
+            )
             .expect("baseline step");
         for k in [1usize, 2, 4] {
             let plan = StepPlan {
@@ -243,7 +250,7 @@ proptest! {
                 ..StepPlan::baseline()
             };
             let ms3 = model
-                .train_step(&xs, &targets, &plan, &inst)
+                .train_step_ws(&xs, &targets, &plan, &inst, None, &mut Workspace::new())
                 .expect("ms3 step");
             assert_bitwise_equal(&base, &ms3, &format!("k={k}"));
             prop_assert!(!ms3.ms3_overflow);
@@ -272,13 +279,22 @@ proptest! {
         let targets = Targets::StepClasses(vec![(0..batch).map(|i| i % 3).collect(); seq]);
         let inst = Instruments::new();
         let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .train_step_ws(
+                &xs,
+                &targets,
+                &StepPlan::baseline(),
+                &inst,
+                None,
+                &mut Workspace::new(),
+            )
             .expect("baseline step");
         let plan = StepPlan {
             ms3: Some(Ms3Config::new(4, Precision::F32)),
             ..StepPlan::baseline()
         };
-        let ms3 = model.train_step(&xs, &targets, &plan, &inst).expect("ms3 step");
+        let ms3 = model
+            .train_step_ws(&xs, &targets, &plan, &inst, None, &mut Workspace::new())
+            .expect("ms3 step");
         assert_bitwise_equal(&base, &ms3, "step-targets k=4");
     }
 
@@ -302,7 +318,9 @@ proptest! {
                 ms3: Some(Ms3Config::new(k, precision)),
                 ..StepPlan::baseline()
             };
-            model.train_step(&xs, &targets, &plan, &inst).expect("ms3 step")
+            model
+                .train_step_ws(&xs, &targets, &plan, &inst, None, &mut Workspace::new())
+                .expect("ms3 step")
         };
         let a = step(1);
         let b = step(1);

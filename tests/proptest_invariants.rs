@@ -6,7 +6,7 @@
 use eta_lstm::core::layer::Instruments;
 use eta_lstm::core::model::{LstmModel, StepPlan};
 use eta_lstm::core::ms2::{plan_skips, GradPredictor, Ms2Config, MAX_SKIP_FRACTION};
-use eta_lstm::core::{LstmConfig, Targets};
+use eta_lstm::core::{LstmConfig, Targets, Workspace};
 use eta_lstm::memsim::model::{footprint, traffic, LstmShape, OptEffects};
 use eta_lstm::tensor::init;
 use proptest::prelude::*;
@@ -39,7 +39,14 @@ proptest! {
             .collect();
         let targets = Targets::Classes((0..batch).map(|i| i % classes).collect());
         let result = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &Instruments::new())
+            .train_step_ws(
+                &xs,
+                &targets,
+                &StepPlan::baseline(),
+                &Instruments::new(),
+                None,
+                &mut Workspace::new(),
+            )
             .expect("train step");
         prop_assert!(result.loss.is_finite());
         for g in &result.grads.cells {

@@ -59,6 +59,14 @@ fn assert_ulp_close(label: &str, got: &Matrix, reference: &Matrix, absref: &Matr
     }
 }
 
+/// `a · Bᵀ` through the packed in-place entry under `cfg`.
+fn nt_packed(a: &Matrix, pb: &PackedB, cfg: &ParallelConfig) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), pb.n());
+    a.matmul_nt_packed_into(pb, &mut out, Store::Assign, cfg)
+        .expect("shapes agree");
+    out
+}
+
 fn assert_bits_equal(label: &str, a: &Matrix, b: &Matrix) {
     let same = a
         .as_slice()
@@ -128,8 +136,7 @@ proptest! {
     ) {
         let a = init::uniform(k, m, -1.0, 1.0, seed);
         let b = init::uniform(k, n, -1.0, 1.0, seed + 1);
-        let pb = PackedB::from_nn(&b);
-        let got = a.matmul_tn_packed(&pb).expect("shapes agree");
+        let got = a.matmul_tn(&b).expect("shapes agree");
         let reference = a.matmul_tn_naive(&b).expect("shapes agree");
         let absref = a
             .map(f32::abs)
@@ -190,9 +197,7 @@ fn dispatch_boundary_keeps_small_shapes_bit_exact() {
     // (the seed contract of the scalar layer), SIMD present or not.
     let a = init::uniform(31, 32, -1.0, 1.0, 7);
     let b = init::uniform(32, 32, -1.0, 1.0, 8);
-    let packed = a
-        .matmul_nt_packed(&PackedB::from_nt(&b))
-        .expect("shapes agree");
+    let packed = nt_packed(&a, &PackedB::from_nt(&b), &ParallelConfig::serial());
     let naive = a.matmul_nt_naive(&b).expect("shapes agree");
     assert_bits_equal("below-threshold nt", &packed, &naive);
 }
@@ -232,20 +237,23 @@ fn thread_count_never_changes_bits_on_either_dispatch_path() {
     let pb_nt = PackedB::from_nt(&b_nt);
     let pb_nn = PackedB::from_nn(&b_nn);
 
-    let serial_nt = a_nt.matmul_nt_packed(&pb_nt).expect("shapes agree");
-    let serial_nn = a_nt.matmul_nn_packed(&pb_nn).expect("shapes agree");
-    let serial_tn = a_tn.matmul_tn_packed(&pb_nn).expect("shapes agree");
+    let serial = ParallelConfig::serial();
+    let serial_nt = nt_packed(&a_nt, &pb_nt, &serial);
+    let serial_nn = a_nt
+        .par_matmul_nn_packed(&pb_nn, &serial)
+        .expect("shapes agree");
+    let serial_tn = a_tn.matmul_tn(&b_nn).expect("shapes agree");
 
     for threads in [1usize, 2, 8] {
         let mut cfg = ParallelConfig::with_threads(threads);
         cfg.min_kernel_flops = 1; // force the parallel row split
-        let par_nt = a_nt
-            .par_matmul_nt_packed(&pb_nt, &cfg)
-            .expect("shapes agree");
+        let par_nt = nt_packed(&a_nt, &pb_nt, &cfg);
         let par_nn = a_nt
             .par_matmul_nn_packed(&pb_nn, &cfg)
             .expect("shapes agree");
-        let par_tn = a_tn.par_matmul_tn(&b_nn, &cfg).expect("shapes agree");
+        let mut par_tn = Matrix::zeros(m, n);
+        a_tn.matmul_tn_acc_into(&b_nn, &mut par_tn, &cfg)
+            .expect("shapes agree");
         assert_bits_equal(&format!("nt at {threads} threads"), &serial_nt, &par_nt);
         assert_bits_equal(&format!("nn at {threads} threads"), &serial_nn, &par_nn);
         assert_bits_equal(&format!("tn at {threads} threads"), &serial_tn, &par_tn);
@@ -261,7 +269,7 @@ fn dispatch_counters_classify_every_large_gemm() {
     let b = init::uniform(64, 64, -1.0, 1.0, 32);
     let pb = PackedB::from_nt(&b);
     let before = stats::dispatch_snapshot();
-    let _ = a.matmul_nt_packed(&pb).expect("shapes agree");
+    let _ = nt_packed(&a, &pb, &ParallelConfig::serial());
     let d = stats::dispatch_snapshot().since(&before);
     if simd::enabled() {
         assert!(d.simd >= 1, "SIMD-enabled session must record a dispatch");

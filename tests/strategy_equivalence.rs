@@ -16,8 +16,8 @@
 use eta_lstm::core::layer::Instruments;
 use eta_lstm::core::model::{LstmModel, StepPlan, StepResult};
 use eta_lstm::core::ms1::Ms1Config;
-use eta_lstm::core::parallel::{train_step_sharded, Parallelism};
-use eta_lstm::core::{LstmConfig, Targets};
+use eta_lstm::core::parallel::{train_step_sharded_ws, Parallelism};
+use eta_lstm::core::{LstmConfig, Targets, Workspace, WorkspacePool};
 use eta_lstm::tensor::{init, Matrix};
 use proptest::prelude::*;
 
@@ -73,14 +73,21 @@ proptest! {
         let (model, xs, targets) = random_case(input, hidden, layers, seq, batch, seed);
         let inst = Instruments::new();
         let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .train_step_ws(
+                &xs,
+                &targets,
+                &StepPlan::baseline(),
+                &inst,
+                None,
+                &mut Workspace::new(),
+            )
             .expect("baseline step");
         let ms1_plan = StepPlan {
             ms1: Some(Ms1Config { threshold: 0.0 }),
             ..StepPlan::baseline()
         };
         let ms1 = model
-            .train_step(&xs, &targets, &ms1_plan, &inst)
+            .train_step_ws(&xs, &targets, &ms1_plan, &inst, None, &mut Workspace::new())
             .expect("ms1 step");
         prop_assert_eq!(base.loss.to_bits(), ms1.loss.to_bits());
         for (gb, gm) in base.grads.cells.iter().zip(ms1.grads.cells.iter()) {
@@ -108,7 +115,14 @@ proptest! {
         let (model, xs, targets) = random_case(input, hidden, layers, seq, batch, seed);
         let inst = Instruments::new();
         let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+            .train_step_ws(
+                &xs,
+                &targets,
+                &StepPlan::baseline(),
+                &inst,
+                None,
+                &mut Workspace::new(),
+            )
             .expect("baseline step");
         // Warm-up CombinedMs: MS1 storage, skip: None (no plan yet).
         let combined_plan = StepPlan {
@@ -117,7 +131,7 @@ proptest! {
             ..StepPlan::baseline()
         };
         let combined = model
-            .train_step(&xs, &targets, &combined_plan, &inst)
+            .train_step_ws(&xs, &targets, &combined_plan, &inst, None, &mut Workspace::new())
             .expect("combined step");
         prop_assert!((base.loss - combined.loss).abs() < 1e-9);
         prop_assert!(max_grad_rel_diff(&base, &combined) < 1e-5);
@@ -147,15 +161,17 @@ proptest! {
             StepPlan::baseline()
         };
         let serial = model
-            .train_step(&xs, &targets, &plan, &inst)
+            .train_step_ws(&xs, &targets, &plan, &inst, None, &mut Workspace::new())
             .expect("serial step");
-        let sharded = train_step_sharded(
+        let sharded = train_step_sharded_ws(
             &model,
             &xs,
             &targets,
             &plan,
             &inst,
             &Parallelism::with_threads(2),
+            None,
+            &mut WorkspacePool::new(),
         )
         .expect("sharded step");
         prop_assert!((serial.loss - sharded.loss).abs() < 1e-9,
@@ -163,13 +179,15 @@ proptest! {
         prop_assert!(max_grad_rel_diff(&serial, &sharded) < 1e-5);
 
         // Thread count is a pure latency knob: bit-identical results.
-        let threads8 = train_step_sharded(
+        let threads8 = train_step_sharded_ws(
             &model,
             &xs,
             &targets,
             &plan,
             &inst,
             &Parallelism::with_threads(8),
+            None,
+            &mut WorkspacePool::new(),
         )
         .expect("8-thread step");
         prop_assert_eq!(sharded.loss.to_bits(), threads8.loss.to_bits());

@@ -39,8 +39,14 @@ struct TracedRun {
     kernel_flops: u64,
 }
 
-fn run_traced(threads: usize) -> TracedRun {
-    let dir = std::env::temp_dir().join(format!("eta_trace_roundtrip_t{threads}"));
+/// Runs one traced training; `test` names the calling test so every
+/// test (and every process) exports into a directory of its own —
+/// sibling tests run concurrently and each run removes its directory.
+fn run_traced(test: &str, threads: usize) -> TracedRun {
+    let dir = std::env::temp_dir().join(format!(
+        "eta_trace_roundtrip_{test}_t{threads}_{}",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&dir).ok();
     let telemetry = Telemetry::new(RunManifest::capture(
         "trace_roundtrip",
@@ -72,7 +78,7 @@ fn run_traced(threads: usize) -> TracedRun {
 
 #[test]
 fn chrome_trace_round_trips_and_spans_nest() {
-    let run = run_traced(2);
+    let run = run_traced("round_trips", 2);
     // Perfetto-loadable: the strict validator parses the JSON, replays
     // every thread's B/E stream, and rejects exit-before-enter,
     // crossed nesting, unparented nested paths, and dangling opens.
@@ -84,7 +90,7 @@ fn chrome_trace_round_trips_and_spans_nest() {
 
 #[test]
 fn trace_structure_covers_the_training_hierarchy() {
-    let run = run_traced(2);
+    let run = run_traced("hierarchy", 2);
     for path in [
         "epoch",
         "epoch/batch",
@@ -110,9 +116,9 @@ fn trace_structure_covers_the_training_hierarchy() {
 
 #[test]
 fn trace_structure_is_identical_across_thread_counts() {
-    let reference = run_traced(1);
+    let reference = run_traced("thread_counts", 1);
     for threads in [2, 4] {
-        let run = run_traced(threads);
+        let run = run_traced("thread_counts", threads);
         assert_eq!(
             reference.structure, run.structure,
             "span structure diverged between 1 and {threads} threads"
