@@ -43,6 +43,9 @@
 //! assert!(report.utilization > 0.0 && report.utilization <= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(unused_assignments)]
+
 pub mod accumulator;
 pub mod arch;
 pub mod cell_exec;

@@ -17,6 +17,8 @@
 //!    forms and the `eta-gpu` / `eta-accel` machine models.
 //! 3. **Print** paper-vs-measured rows for every figure/table.
 
+#![forbid(unsafe_code)]
+
 use eta_gpu::{GpuModel, GpuSpec};
 use eta_lstm_core::ms2::{self, GradPredictor, Ms2Config};
 use eta_lstm_core::{Batch, LossKind, Task};

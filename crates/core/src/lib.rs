@@ -41,6 +41,9 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(unused_assignments)]
+
 pub mod cell;
 pub mod config;
 pub mod gradcheck;

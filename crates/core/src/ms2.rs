@@ -256,6 +256,14 @@ impl SkipPlan {
     }
 }
 
+/// Orders predictions without a panic path: `partial_cmp` wherever it
+/// answers (every finite pair, so `plan_skips` keeps the order it always
+/// produced), `total_cmp` for a NaN operand — together still a total
+/// order, which `sort_by` requires.
+fn cmp_pred(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.total_cmp(&b))
+}
+
 /// Builds a [`SkipPlan`] from predicted gradient magnitudes.
 ///
 /// A cell is skipped when its prediction falls below
@@ -284,7 +292,7 @@ pub fn plan_skips(
         let max_skipped = (seq_len as f64 * MAX_SKIP_FRACTION).floor() as usize;
         let mut skipped: Vec<usize> = (0..seq_len).filter(|&t| !row[t]).collect();
         if skipped.len() > max_skipped {
-            skipped.sort_by(|&a, &b| preds[b].partial_cmp(&preds[a]).expect("finite predictions"));
+            skipped.sort_by(|&a, &b| cmp_pred(preds[b], preds[a]));
             for &t in skipped.iter().take(skipped.len() - max_skipped) {
                 row[t] = true;
             }
@@ -294,7 +302,7 @@ pub fn plan_skips(
             let best = preds
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite predictions"))
+                .max_by(|a, b| cmp_pred(*a.1, *b.1))
                 .map(|(i, _)| i)
                 .unwrap_or(seq_len - 1);
             row[best] = true;
@@ -469,9 +477,12 @@ mod tests {
         let cfg = Ms2Config {
             skip_threshold: 2.0,
         };
-        let plan = plan_skips(&p, 1.0, 2, 10, &cfg);
-        for l in 0..2 {
-            assert!(plan.keep[l].iter().any(|&k| k));
+        // A NaN loss makes every prediction NaN: still a plan, not a panic.
+        for loss in [1.0, f64::NAN] {
+            let plan = plan_skips(&p, loss, 2, 10, &cfg);
+            for l in 0..2 {
+                assert!(plan.keep[l].iter().any(|&k| k));
+            }
         }
     }
 }

@@ -35,6 +35,8 @@
 //! assert!(est.tflops > 1.0 && est.tflops < 16.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod device;
 mod perf;
 

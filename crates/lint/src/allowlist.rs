@@ -5,9 +5,7 @@
 //! tables with `key = "string"` / `key = integer` pairs and `#`
 //! comments. Every entry must name a rule, an existing file, and a
 //! non-empty justification; entries may pin a specific line. An entry
-//! without `line` covers every finding of that rule in that file —
-//! the per-file form is the norm for S1 audits of kernel files, where
-//! the justification describes the file's bounds discipline.
+//! without `line` covers every finding of that rule in that file.
 
 use std::path::Path;
 
@@ -23,7 +21,7 @@ pub struct AllowEntry {
 }
 
 const KNOWN_RULES: &[&str] = &[
-    "D1", "D2", "A1", "T1", "S1", "S2", "S3", "H1", "A2", "DS1", "R1", "C1", "C2", "C3",
+    "D1", "D2", "A1", "T1", "S1", "S2", "S3", "H1", "A2", "R1", "C2", "C3",
 ];
 
 /// Parses allowlist text. `root` anchors the existence check for

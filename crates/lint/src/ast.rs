@@ -93,9 +93,6 @@ impl Item {
 pub struct FnDef {
     pub params: Vec<Param>,
     pub has_self: bool,
-    /// The receiver is an exclusive use: `&mut self`, `mut self`, or
-    /// consuming `self` (everything except `&self`).
-    pub self_mut: bool,
     /// Raw token text of the return type (`""` for unit).
     pub ret_text: String,
     /// `None` for trait-method declarations and extern fns.
@@ -199,11 +196,9 @@ pub enum ExprKind {
         hi: Option<Box<Expr>>,
         inclusive: bool,
     },
+    /// `&x` / `&mut x`.
     Ref {
         expr: Box<Expr>,
-        /// `&mut x` vs `&x` — the escape analysis needs the
-        /// distinction to classify captured-place mutability.
-        is_mut: bool,
     },
     Deref {
         expr: Box<Expr>,
@@ -256,10 +251,6 @@ pub enum ExprKind {
     },
     Closure {
         params: Vec<String>,
-        /// Raw type text per comma-separated parameter (`""` when the
-        /// parameter is unannotated). Lets the concurrency analysis
-        /// see `|i: usize, ws: &mut Workspace|` mutability.
-        param_tys: Vec<String>,
         body: Box<Expr>,
     },
     Return(Option<Box<Expr>>),
@@ -430,6 +421,61 @@ fn walk_dyn<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
     e.walk(&mut g);
 }
 
+/// Appends the direct sub-expressions of a non-control-flow node to
+/// `out` (blocks, branches, loops and closures contribute nothing:
+/// walkers that prune subtrees handle those themselves).
+pub(crate) fn collect_children<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+    match &e.kind {
+        ExprKind::Call { callee, args } => {
+            out.push(callee);
+            out.extend(args.iter());
+        }
+        ExprKind::MethodCall { recv, args, .. } => {
+            out.push(recv);
+            out.extend(args.iter());
+        }
+        ExprKind::Field { recv, .. } => out.push(recv),
+        ExprKind::Index { recv, index } => {
+            out.push(recv);
+            out.push(index);
+        }
+        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
+            out.push(lhs);
+            out.push(rhs);
+        }
+        ExprKind::Unary { expr, .. }
+        | ExprKind::Cast { expr, .. }
+        | ExprKind::Ref { expr, .. }
+        | ExprKind::Deref { expr }
+        | ExprKind::Try(expr) => out.push(expr),
+        ExprKind::Range { lo, hi, .. } => {
+            if let Some(e) = lo {
+                out.push(e);
+            }
+            if let Some(e) = hi {
+                out.push(e);
+            }
+        }
+        ExprKind::Return(e) | ExprKind::Break(e) => {
+            if let Some(e) = e {
+                out.push(e);
+            }
+        }
+        ExprKind::Tuple(es) | ExprKind::Array(es) => out.extend(es.iter()),
+        ExprKind::Repeat { elem, len } => {
+            out.push(elem);
+            out.push(len);
+        }
+        ExprKind::StructLit { fields, rest, .. } => {
+            out.extend(fields.iter().map(|(_, e)| e));
+            if let Some(e) = rest {
+                out.push(e);
+            }
+        }
+        _ => {}
+    }
+}
+
 /// Visits every item in a tree (modules/impls/traits descended).
 pub fn walk_items<'a>(items: &'a [Item], f: &mut impl FnMut(&'a Item)) {
     for item in items {
@@ -444,8 +490,9 @@ pub fn walk_items<'a>(items: &'a [Item], f: &mut impl FnMut(&'a Item)) {
 }
 
 /// Renders an expression back to compact canonical text. Used to key
-/// symbolic values in the bounds and taint analyses: two occurrences
-/// of `self.data.len()` must produce the same string.
+/// symbolic values in the taint analysis and to quote sites in
+/// diagnostics: two occurrences of `self.data.len()` must produce the
+/// same string.
 pub fn expr_text(e: &Expr) -> String {
     match &e.kind {
         ExprKind::Path(segs) => segs.join("::"),

@@ -3,8 +3,7 @@
 //! ```text
 //! cargo run -p eta-lint                      # text diagnostics, exit 1 on findings
 //! cargo run -p eta-lint -- --format json     # JSON report on stdout
-//! cargo run -p eta-lint -- --format sarif    # SARIF 2.1.0 log (CI code scanning)
-//! cargo run -p eta-lint -- --output lint.sarif --format sarif
+//! cargo run -p eta-lint -- --format json --output report.json
 //! cargo run -p eta-lint -- --root /path/to/workspace
 //! ```
 //!
@@ -24,7 +23,6 @@ struct Args {
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -43,8 +41,7 @@ fn parse_args() -> Result<Args, String> {
             "--format" => match it.next().as_deref() {
                 Some("text") => args.format = Format::Text,
                 Some("json") => args.format = Format::Json,
-                Some("sarif") => args.format = Format::Sarif,
-                other => return Err(format!("--format expects text|json|sarif, got {other:?}")),
+                other => return Err(format!("--format expects text|json, got {other:?}")),
             },
             "--output" => {
                 let v = it.next().ok_or("--output requires a path")?;
@@ -53,7 +50,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "eta-lint — workspace static analysis for the eta-LSTM contracts\n\n\
-                     USAGE: eta-lint [--root DIR] [--format text|json|sarif] [--output FILE]\n\n\
+                     USAGE: eta-lint [--root DIR] [--format text|json] [--output FILE]\n\n\
                      Token rules: D1 hash-ordered collections in numeric crates; D2 entropy\n\
                      sources outside telemetry+bench+prof; A1 unsafe needs // SAFETY:;\n\
                      T1 telemetry keys from eta_telemetry::keys.\n\
@@ -61,14 +58,12 @@ fn parse_args() -> Result<Args, String> {
                      from public numeric APIs (diagnostic shows the call chain); S2 clock/\n\
                      entropy/hash-order taint reaching numerics or telemetry; S3 registered\n\
                      telemetry keys never emitted (warning only).\n\
-                     Dataflow rules (CFG + worklist): H1 allocations reachable on the\n\
-                     per-timestep hot path; A2 std::arch intrinsic hygiene (target_feature,\n\
-                     runtime detect + scalar fallback, // SAFETY:); DS1 dead stores to\n\
-                     local numeric state; R1 stray .proptest-regressions seed files.\n\
-                     Concurrency rules (escape/alias + slice-region prover): C1 data-race\n\
-                     freedom of scoped spawns; C2 deterministic merge order (retired D3's\n\
-                     unordered reductions, plus channels and atomic float accumulation);\n\
-                     C3 locks/atomics in numeric crates need a // SYNC: justification.\n\
+                     H1 raw Vec/Box/String/clone allocations reachable on the per-timestep\n\
+                     hot path; A2 std::arch intrinsic hygiene (target_feature, runtime\n\
+                     detect + scalar fallback, // SAFETY:); C2 deterministic merge order\n\
+                     (no channel merges, atomic float accumulation or unordered float\n\
+                     reductions); C3 locks/atomics in numeric crates need a // SYNC:\n\
+                     justification. R1 stray .proptest-regressions seed files.\n\
                      Exceptions: lint.toml at the workspace root (rule/file/[line]/reason)."
                 );
                 std::process::exit(0);
@@ -117,7 +112,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         },
-        Format::Sarif => eta_lint::sarif::render(&report),
     };
 
     if let Some(path) = &args.output {

@@ -11,7 +11,7 @@
 
 use crate::ast::{self, Block, Expr, ExprKind, Item, ItemKind};
 use crate::parser;
-use crate::rules::{classify, ScopeKind};
+use crate::rules::{classify, ScopeKind, NUMERIC_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -40,8 +40,6 @@ pub struct FnInfo {
     /// Inside `#[cfg(test)]` / `#[test]` / a tests directory.
     pub in_test: bool,
     pub has_self: bool,
-    /// Receiver is an exclusive use (`&mut self`, `mut self`, `self`).
-    pub self_mut: bool,
     pub params: Vec<ast::Param>,
     pub ret_text: String,
     /// Raw interior text of each `#[…]` attribute on the fn item.
@@ -52,6 +50,14 @@ pub struct FnInfo {
 }
 
 impl FnInfo {
+    /// Non-test library code of a numeric crate — the scope S1, H1 and
+    /// C2 bind.
+    pub fn is_numeric_lib(&self) -> bool {
+        !self.in_test
+            && self.kind == ScopeKind::Lib
+            && NUMERIC_CRATES.contains(&self.crate_key.as_str())
+    }
+
     /// `core::Trainer::train`-style display name for diagnostics.
     pub fn display(&self) -> String {
         match &self.self_ty {
@@ -61,10 +67,10 @@ impl FnInfo {
     }
 }
 
-/// A call site before resolution.
+/// A call site (or function mention) before resolution.
 #[derive(Debug, Clone)]
 pub enum CallRef {
-    /// `a::b::f(…)` — full path segments.
+    /// `a::b::f(…)`, or `a::b::f` named as a value — full path segments.
     Path(Vec<String>),
     /// `recv.m(…)` — method name plus whether the receiver is `self`.
     Method { name: String, on_self: bool },
@@ -145,32 +151,6 @@ impl Workspace {
             .get(crate_key)
             .cloned()
             .unwrap_or_else(|| std::iter::once(crate_key.to_string()).collect())
-    }
-
-    /// Resolves a call *expression* from inside `caller`'s body — the
-    /// concurrency escape analysis uses this to chase captured places
-    /// through workspace calls. `Call` and `MethodCall` expressions
-    /// resolve exactly like the call-graph edges; everything else is a
-    /// std/shim call and resolves to nothing.
-    pub(crate) fn resolve_call_expr(&self, caller: &FnInfo, expr: &Expr) -> Vec<usize> {
-        let call = match &expr.kind {
-            ExprKind::Call { callee, .. } => match &callee.kind {
-                ExprKind::Path(segs) => CallRef::Path(segs.clone()),
-                _ => return Vec::new(),
-            },
-            ExprKind::MethodCall { recv, method, .. } => {
-                let on_self = matches!(
-                    &ast::peel(recv).kind,
-                    ExprKind::Path(segs) if segs.len() == 1 && segs[0] == "self"
-                );
-                CallRef::Method {
-                    name: method.clone(),
-                    on_self,
-                }
-            }
-            _ => return Vec::new(),
-        };
-        self.resolve_call(caller, &call)
     }
 
     fn resolve_call(&self, caller: &FnInfo, call: &CallRef) -> Vec<usize> {
@@ -325,7 +305,6 @@ fn collect_fns(file: &SourceFile, out: &mut Vec<FnInfo>) {
                         is_pub: item.is_pub,
                         in_test: item_test || file.kind == ScopeKind::Test,
                         has_self: def.has_self,
-                        self_mut: def.self_mut,
                         params: def.params.clone(),
                         ret_text: def.ret_text.clone(),
                         attrs: item.attrs.clone(),
@@ -345,15 +324,16 @@ fn collect_fns(file: &SourceFile, out: &mut Vec<FnInfo>) {
     rec(&file.ast.items, file, None, false, out);
 }
 
-/// Extracts raw call references from a fn body, in source order.
+/// Extracts raw call references from a fn body, in source order. Every
+/// path expression counts, not only a callee: a function passed by
+/// value (`pack_par(…, fill_nt_panel)`, a `let` rhs, a struct field) is
+/// called by whoever receives it, so the mention is an over-approximate
+/// edge. Paths that name no workspace function (locals, constants,
+/// enum variants) resolve to nothing.
 fn collect_calls(body: &Block) -> Vec<CallRef> {
     let mut calls = Vec::new();
     walk_block_exprs(body, &mut |e| match &e.kind {
-        ExprKind::Call { callee, .. } => {
-            if let ExprKind::Path(segs) = &callee.kind {
-                calls.push(CallRef::Path(segs.clone()));
-            }
-        }
+        ExprKind::Path(segs) => calls.push(CallRef::Path(segs.clone())),
         ExprKind::MethodCall { recv, method, .. } => {
             let on_self = matches!(
                 &ast::peel(recv).kind,

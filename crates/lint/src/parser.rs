@@ -662,10 +662,9 @@ impl<'a> Parser<'a> {
         }
         let mut params = Vec::new();
         let mut has_self = false;
-        let mut self_mut = false;
         if self.at_punct('(') {
             let interior = self.group_interior();
-            (params, has_self, self_mut) = parse_params(interior);
+            (params, has_self) = parse_params(interior);
         } else {
             self.err("expected `(` after fn name".into());
         }
@@ -687,7 +686,6 @@ impl<'a> Parser<'a> {
         FnDef {
             params,
             has_self,
-            self_mut,
             ret_text,
             body,
         }
@@ -1043,7 +1041,7 @@ pub(crate) fn pat_names(toks: &[Tok]) -> Vec<String> {
 }
 
 /// Parses a fn parameter list from its interior tokens.
-fn parse_params(toks: &[Tok]) -> (Vec<Param>, bool, bool) {
+fn parse_params(toks: &[Tok]) -> (Vec<Param>, bool) {
     let mut p = Parser {
         toks,
         pos: 0,
@@ -1053,7 +1051,6 @@ fn parse_params(toks: &[Tok]) -> (Vec<Param>, bool, bool) {
     };
     let mut params = Vec::new();
     let mut has_self = false;
-    let mut self_mut = false;
     while !p.eof() {
         if p.out_of_fuel() {
             break;
@@ -1063,8 +1060,7 @@ fn parse_params(toks: &[Tok]) -> (Vec<Param>, bool, bool) {
         // self receiver: `self`, `mut self`, `&self`, `&mut self`,
         // `&'a mut self`, optionally typed `self: Box<Self>`.
         let mut look = p.pos;
-        let by_ref = p.toks.get(look).is_some_and(|t| t.is_punct('&'));
-        if by_ref {
+        if p.toks.get(look).is_some_and(|t| t.is_punct('&')) {
             look += 1;
             if p.toks
                 .get(look)
@@ -1073,15 +1069,11 @@ fn parse_params(toks: &[Tok]) -> (Vec<Param>, bool, bool) {
                 look += 1;
             }
         }
-        let saw_mut = p.toks.get(look).is_some_and(|t| t.is_ident("mut"));
-        if saw_mut {
+        if p.toks.get(look).is_some_and(|t| t.is_ident("mut")) {
             look += 1;
         }
         if p.toks.get(look).is_some_and(|t| t.is_ident("self")) {
             has_self = true;
-            // `&mut self` and consuming `self`/`mut self` receivers are
-            // exclusive uses of the receiver; only `&self` is shared.
-            self_mut = saw_mut || !by_ref;
             p.pos = look + 1;
             if p.at_punct(':') {
                 p.bump();
@@ -1110,7 +1102,7 @@ fn parse_params(toks: &[Tok]) -> (Vec<Param>, bool, bool) {
             p.bump();
         }
     }
-    (params, has_self, self_mut)
+    (params, has_self)
 }
 
 // ---- expressions ----------------------------------------------------------
@@ -1493,11 +1485,10 @@ impl<'a> Parser<'a> {
         }
         if self.at_punct('&') {
             self.bump();
-            let is_mut = self.eat_ident("mut");
+            self.eat_ident("mut");
             return Expr {
                 kind: ExprKind::Ref {
                     expr: Box::new(self.parse_unary(allow_struct)),
-                    is_mut,
                 },
                 line,
             };
@@ -1876,7 +1867,6 @@ impl<'a> Parser<'a> {
 
     fn parse_closure(&mut self, line: u32) -> Expr {
         let mut params = Vec::new();
-        let mut param_tys = Vec::new();
         self.bump(); // first |
         if !self.eat_punct('|') {
             while !self.eof() && !self.at_punct('|') {
@@ -1887,9 +1877,7 @@ impl<'a> Parser<'a> {
                 let pat = self.scan_pattern(PatStop::ClosureParam);
                 params.extend(pat_names(pat));
                 if self.eat_punct(':') {
-                    param_tys.push(self.collect_type(&[',', '|'], &[]));
-                } else {
-                    param_tys.push(String::new());
+                    self.collect_type(&[',', '|'], &[]);
                 }
                 self.eat_punct(',');
                 if self.pos == before {
@@ -1907,7 +1895,6 @@ impl<'a> Parser<'a> {
         Expr {
             kind: ExprKind::Closure {
                 params,
-                param_tys,
                 body: Box::new(body),
             },
             line,

@@ -212,7 +212,7 @@ fn collect_tf_calls_expr<'a>(
                 }
             }
             let mut subs = Vec::new();
-            super::linear::collect_children(e, &mut subs);
+            crate::ast::collect_children(e, &mut subs);
             for s in subs {
                 collect_tf_calls_expr(s, tf_names, guarded, out);
             }

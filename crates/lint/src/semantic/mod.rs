@@ -2,59 +2,39 @@
 //!
 //! Unlike the token rules in [`crate::rules`], these passes see real
 //! structure: an AST per file ([`crate::parser`]), a function table
-//! and cross-crate call graph ([`crate::model`]). Three rules live
-//! here:
+//! and cross-crate call graph ([`crate::model`]). Each states a policy
+//! that neither rustc nor a tier-1 test checks (DESIGN.md §9 has the
+//! mutation audit behind that claim):
 //!
 //! * **S1** ([`s1`]) — panic reachability: which public APIs of the
-//!   numeric crates transitively reach a panic-capable site; the
-//!   diagnostic prints the exact call chain.
+//!   numeric crates transitively reach an `unwrap`/`expect`/`panic!`
+//!   site; the diagnostic prints the exact call chain.
 //! * **S2** ([`s2`]) — nondeterminism taint: clock / entropy /
 //!   hash-order values flowing into numeric arithmetic, tensor
 //!   buffers, or telemetry values.
 //! * **S3** ([`s3`]) — telemetry key liveness: registered keys that
 //!   no non-test code ever emits (warnings, not errors).
-//!
-//! Layer 3 builds per-function control-flow graphs ([`cfg`]) and runs
-//! worklist dataflow ([`dataflow`]) on top of the same model:
-//!
-//! * **H1** ([`h1`]) — hot-path allocation discipline: allocating
-//!   calls reachable from the per-timestep workspace entry points.
+//! * **H1** ([`h1`]) — hot-path allocation discipline: raw
+//!   `Vec`/`Box`/`String`/`clone` allocations reachable from the
+//!   per-timestep entry points.
 //! * **A2** ([`a2`]) — SIMD readiness: `std::arch` intrinsics need
 //!   `#[target_feature]`, a runtime-detect guard with scalar
 //!   fallback, and a `// SAFETY:` comment.
-//! * **DS1** ([`ds1`]) — dead stores: computed values overwritten or
-//!   dropped before any read (liveness over the CFG).
+//! * **C2 / C3** ([`conc`]) — deterministic merge order (no channel
+//!   merges, atomic→float punning or unordered float reductions) and
+//!   the ban on locks/atomics in numeric crates outside
+//!   `// SYNC:`-justified telemetry plumbing.
 //!
-//! The S1 bounds prover additionally consults the 2-D linear engine
-//! ([`linear`]), which discharges `data[r * cols + c]` indexing from
-//! constructor invariants and local guards, plus the struct-field
-//! shape pass ([`shape`]) proving equal-length `Vec` field pairs.
-//!
-//! Layer 4 is the concurrency analysis ([`conc`]) with its symbolic
-//! slice-region disjointness engine ([`disjoint`]):
-//!
-//! * **C1** — data-race freedom: concurrently-live spawned closures
-//!   must have provably disjoint mutable footprints.
-//! * **C2** — deterministic merge order: cross-thread results reach
-//!   float state only through the post-join sequential loop (subsumes
-//!   the retired token rule D3).
-//! * **C3** — synchronization discipline: locks and atomics are
-//!   banned in numeric crates outside `// SYNC:`-justified telemetry
-//!   plumbing.
+//! Data-race freedom, dead stores and index bounds are not here:
+//! `#![forbid(unsafe_code)]` + borrowck, `#![deny(unused_assignments)]`
+//! and the crates' own tests give those guarantees.
 
 pub mod a2;
-pub mod bounds;
-pub mod cfg;
 pub mod conc;
-pub mod dataflow;
-pub mod disjoint;
-pub mod ds1;
 pub mod h1;
-pub mod linear;
 pub mod s1;
 pub mod s2;
 pub mod s3;
-pub mod shape;
 
 use crate::model::Workspace;
 use crate::rules::Finding;
@@ -66,7 +46,7 @@ pub struct SemanticReport {
     pub warnings: Vec<Finding>,
 }
 
-/// Runs S1/S2/S3 over `(root-relative path, source)` pairs. `root`
+/// Runs every semantic rule over `(root-relative path, source)` pairs. `root`
 /// supplies crate-dependency scopes from the manifests when linting a
 /// real workspace; fixtures pass `None`.
 pub fn analyze_sources(sources: &[(String, String)], root: Option<&Path>) -> SemanticReport {
@@ -75,7 +55,6 @@ pub fn analyze_sources(sources: &[(String, String)], root: Option<&Path>) -> Sem
     findings.extend(s2::run(&ws));
     findings.extend(h1::run(&ws));
     findings.extend(a2::run(&ws));
-    findings.extend(ds1::run(&ws));
     findings.extend(conc::run(&ws));
     findings.sort_by(|a, b| {
         (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))

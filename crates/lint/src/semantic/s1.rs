@@ -1,21 +1,21 @@
 //! S1 — panic reachability.
 //!
-//! Finds every panic-capable site (`unwrap`, `expect`, `panic!`,
-//! `todo!`, `unimplemented!`, and undischarged `xs[i]` indexing) in
-//! the library code of the numeric crates, then walks the workspace
-//! call graph backwards from the public API surface. A site is
-//! reported only when some `pub fn` of a numeric crate transitively
-//! reaches it; the diagnostic prints the exact (shortest, BFS-
-//! deterministic) call chain so the reader can audit the path.
+//! Finds every explicit panic site (`unwrap`, `expect`, `panic!`,
+//! `todo!`, `unimplemented!`) in the library code of the numeric
+//! crates, then walks the workspace call graph forwards from the
+//! public API surface. A site is reported only when some `pub fn` of a
+//! numeric crate transitively reaches it; the diagnostic prints the
+//! exact (shortest, BFS-deterministic) call chain so the reader can
+//! audit the path.
 //!
-//! This subsumes the old token-level P1 rule: sites that nothing
-//! public can reach (internal test helpers, dead branches behind
-//! private constructors) no longer need allowlist entries.
+//! `xs[i]` indexing is deliberately not a site: an out-of-bounds index
+//! is a deterministic panic on the first run that reaches it, and the
+//! mutation audit in DESIGN.md §9 found every seeded index bug failed
+//! by the crate's own tests, including the ones a bounds prover missed.
 
-use super::{bounds, linear};
-use crate::ast::{expr_text, peel, ExprKind};
+use crate::ast::{expr_text, ExprKind};
 use crate::model::{walk_block_exprs, FnInfo, Workspace};
-use crate::rules::{Finding, ScopeKind, NUMERIC_CRATES};
+use crate::rules::Finding;
 use std::collections::VecDeque;
 
 /// One panic-capable site inside a function body.
@@ -77,10 +77,7 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
 }
 
 fn is_entry_point(f: &FnInfo) -> bool {
-    f.is_pub
-        && !f.in_test
-        && f.kind == ScopeKind::Lib
-        && NUMERIC_CRATES.contains(&f.crate_key.as_str())
+    f.is_pub && f.is_numeric_lib()
 }
 
 /// Walks BFS parents from the danger's function back to its entry
@@ -97,15 +94,11 @@ fn chain_to(ws: &Workspace, parent: &[Option<usize>], mut v: usize) -> Vec<Strin
 
 fn collect_dangers(ws: &Workspace) -> Vec<Danger> {
     let mut out = Vec::new();
-    let env = linear::Env::build(ws);
     for f in &ws.fns {
-        if f.in_test || f.kind != ScopeKind::Lib || !NUMERIC_CRATES.contains(&f.crate_key.as_str())
-        {
+        if !f.is_numeric_lib() {
             continue;
         }
         let Some(body) = &f.body else { continue };
-        let facts = bounds::gather(body);
-        let lfacts = linear::gather(f, &env);
         walk_block_exprs(body, &mut |e| match &e.kind {
             ExprKind::MethodCall { recv, method, .. }
                 if method == "unwrap" || method == "expect" =>
@@ -126,20 +119,6 @@ fn collect_dangers(ws: &Workspace) -> Vec<Danger> {
                     fn_id: f.id,
                     line: e.line,
                     desc: format!("`{}!`", path.last().unwrap()),
-                });
-            }
-            ExprKind::Index { recv, index }
-                if !bounds::discharged(recv, index, &facts)
-                    && !linear::discharged(recv, index, &lfacts) =>
-            {
-                out.push(Danger {
-                    fn_id: f.id,
-                    line: e.line,
-                    desc: format!(
-                        "unchecked index `{}[{}]`",
-                        clip(&expr_text(peel(recv))),
-                        clip(&expr_text(index))
-                    ),
                 });
             }
             _ => {}

@@ -6,7 +6,7 @@
 //! code is a warning (stale schema, or an emit someone forgot to
 //! wire). Warnings do not affect the exit code — a registry may
 //! legitimately stay one release ahead of its emitters — but they are
-//! rendered and land in the SARIF report.
+//! rendered and land in the JSON report.
 
 use crate::ast::{walk_items, ExprKind, ItemKind};
 use crate::model::{walk_block_exprs, Workspace};

@@ -1,4 +1,4 @@
-//! Fixture tests for the semantic rules (S1/S2/S3). Each drives
+//! Fixture tests for the semantic rules (S1/S2/S3/H1/A2/C2/C3). Each drives
 //! `analyze_sources` on a tiny synthetic workspace and asserts the
 //! exact diagnostics — in particular the S1 call chains, which are the
 //! whole point of the rule: a reviewer must be able to audit the path
@@ -51,6 +51,42 @@ fn s1_reports_exact_call_chain_through_private_helpers() {
         s1[0].message,
         "`x.unwrap()` reachable from public API via core::api -> core::helper -> core::danger"
     );
+
+    // A function passed by value is called by whoever receives it: the
+    // mention is an edge (the `PackedB::pack_par(…, fill_nt_panel)`
+    // shape, where `fill(…)` in the driver resolves to nothing).
+    let by_value = |entry_arg: &str| {
+        format!(
+            "pub fn from_nt(src: &[f32]) -> f32 {{\n\
+             \x20   pack_par(src, {entry_arg})\n\
+             }}\n\
+             \n\
+             fn pack_par(src: &[f32], fill: fn(&[f32]) -> f32) -> f32 {{\n\
+             \x20   fill(src)\n\
+             }}\n\
+             \n\
+             fn fill_nn_panel(src: &[f32]) -> f32 {{\n\
+             \x20   src.len() as f32\n\
+             }}\n\
+             \n\
+             fn fill_nt_panel(src: &[f32]) -> f32 {{\n\
+             \x20   *src.first().unwrap()\n\
+             }}\n"
+        )
+    };
+    // Pass: the panicking filler exists but nothing public mentions it.
+    let (findings, _) = analyze(&[(TENSOR, &by_value("fill_nn_panel"))]);
+    assert!(rule(&findings, "S1").is_empty(), "{findings:#?}");
+    // Fail: handed to the driver as a `fn` pointer.
+    let (findings, _) = analyze(&[(TENSOR, &by_value("fill_nt_panel"))]);
+    let s1 = rule(&findings, "S1");
+    assert_eq!(s1.len(), 1, "{findings:#?}");
+    assert_eq!(s1[0].line, 14);
+    assert_eq!(
+        s1[0].message,
+        "`src.first().unwrap()` reachable from public API via \
+         tensor::from_nt -> tensor::fill_nt_panel"
+    );
 }
 
 #[test]
@@ -65,7 +101,7 @@ fn s1_reports_method_chain_with_impl_type_names() {
                \x20   }\n\
                \n\
                \x20   fn pick(&self, xs: &[f32]) -> f32 {\n\
-               \x20       xs[self.h]\n\
+               \x20       *xs.get(self.h).expect(\"h in range\")\n\
                \x20   }\n\
                }\n";
     let (findings, _) = analyze(&[(TENSOR, src)]);
@@ -80,7 +116,7 @@ fn s1_reports_method_chain_with_impl_type_names() {
         s1[0].message
     );
     assert!(
-        s1[0].message.starts_with("unchecked index `xs["),
+        s1[0].message.starts_with("`xs.get(self.h).expect()`"),
         "{}",
         s1[0].message
     );
@@ -109,35 +145,6 @@ fn s1_unreachable_and_test_sites_are_silent() {
                  }\n";
     let (findings, _) = analyze(&[(CORE, core), (WORKLOADS, plain)]);
     assert!(rule(&findings, "S1").is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn s1_bounds_prover_discharges_guarded_indexing() {
-    // Counter loops over asserted-equal lengths produce no findings;
-    // the same access with an arbitrary index does, with the entry
-    // point itself as the (one-element) chain.
-    let clean = "pub fn dot(xs: &[f32], ys: &[f32]) -> f32 {\n\
-                 \x20   assert_eq!(xs.len(), ys.len());\n\
-                 \x20   let mut acc = 0.0;\n\
-                 \x20   for i in 0..xs.len() {\n\
-                 \x20       acc += xs[i] * ys[i];\n\
-                 \x20   }\n\
-                 \x20   acc\n\
-                 }\n";
-    let (findings, _) = analyze(&[(CORE, clean)]);
-    assert!(rule(&findings, "S1").is_empty(), "{findings:#?}");
-
-    let dirty = "pub fn pick(xs: &[f32], k: usize) -> f32 {\n\
-                 \x20   xs[k]\n\
-                 }\n";
-    let (findings, _) = analyze(&[(CORE, dirty)]);
-    let s1 = rule(&findings, "S1");
-    assert_eq!(s1.len(), 1, "{findings:#?}");
-    assert_eq!(s1[0].line, 2);
-    assert_eq!(
-        s1[0].message,
-        "unchecked index `xs[k]` reachable from public API via core::pick"
-    );
 }
 
 // --- S2: nondeterminism taint ----------------------------------------------
@@ -210,8 +217,6 @@ fn s2_clock_into_tensor_buffer_is_flagged() {
         "{}",
         s2[0].message
     );
-    // The is_empty guard also discharges the S1 index.
-    assert!(rule(&findings, "S1").is_empty(), "{findings:#?}");
 }
 
 #[test]
@@ -533,214 +538,7 @@ fn a2_flags_unguarded_call_into_safe_target_feature_helper() {
     assert!(a2[0].message.contains("without an"), "{findings:#?}");
 }
 
-// --- DS1: dead stores ------------------------------------------------------
-
-#[test]
-fn ds1_flags_computed_store_overwritten_before_read() {
-    let src = "pub fn stats(xs: &[f32]) -> f32 {\n\
-               \x20   let mut acc = 0.0;\n\
-               \x20   acc = xs.iter().sum();\n\
-               \x20   acc = 0.0;\n\
-               \x20   acc\n\
-               }\n";
-    let (findings, _) = analyze(&[(CORE, src)]);
-    let ds1 = rule(&findings, "DS1");
-    assert_eq!(ds1.len(), 1, "{findings:#?}");
-    assert_eq!(ds1[0].file, CORE);
-    assert_eq!(ds1[0].line, 3);
-    assert_eq!(
-        ds1[0].message,
-        "dead store to `acc`: the computed value is overwritten or dropped before any read"
-    );
-}
-
-#[test]
-fn ds1_read_before_overwrite_and_element_stores_stay_clean() {
-    // First store is read by `scaled`; the zero re-init is a trivial
-    // rhs; element stores never kill the whole buffer.
-    let src = "pub fn stats(xs: &[f32], buf: &mut [f32]) -> f32 {\n\
-               \x20   let mut acc = 0.0;\n\
-               \x20   acc = xs.iter().sum();\n\
-               \x20   let scaled = acc * 0.5;\n\
-               \x20   acc = 0.0;\n\
-               \x20   let mut tmp = vec![0.0; xs.len()];\n\
-               \x20   for i in 0..xs.len() {\n\
-               \x20       tmp[i] = xs[i] * 2.0;\n\
-               \x20   }\n\
-               \x20   scaled + acc + tmp.iter().sum::<f32>()\n\
-               }\n";
-    let (findings, _) = analyze(&[(CORE, src)]);
-    assert!(rule(&findings, "DS1").is_empty(), "{findings:#?}");
-}
-
-// --- S1 2-D prover: flattened indexing from constructor invariants ---------
-
-#[test]
-fn s1_two_d_prover_discharges_flattened_index_from_ctor_invariant() {
-    // `zeros` establishes `data.len() == rows * cols`; the prover must
-    // discharge `data[r * cols + c]` under the loop bounds with no
-    // allowlist entry and no assert.
-    let src = "pub struct Grid {\n\
-               \x20   data: Vec<f32>,\n\
-               \x20   rows: usize,\n\
-               \x20   cols: usize,\n\
-               }\n\
-               \n\
-               impl Grid {\n\
-               \x20   pub fn zeros(rows: usize, cols: usize) -> Grid {\n\
-               \x20       Grid { data: vec![0.0; rows * cols], rows, cols }\n\
-               \x20   }\n\
-               \n\
-               \x20   pub fn sum(&self) -> f32 {\n\
-               \x20       let mut acc = 0.0;\n\
-               \x20       for r in 0..self.rows {\n\
-               \x20           for c in 0..self.cols {\n\
-               \x20               acc += self.data[r * self.cols + c];\n\
-               \x20           }\n\
-               \x20       }\n\
-               \x20       acc\n\
-               \x20   }\n\
-               }\n";
-    let (findings, _) = analyze(&[(TENSOR, src)]);
-    assert!(rule(&findings, "S1").is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn s1_two_d_prover_still_flags_unverifiable_buffer() {
-    // Same indexing, but the constructor takes the buffer from the
-    // caller, so no length invariant is established and the index
-    // obligation cannot be discharged.
-    let src = "pub struct Grid {\n\
-               \x20   data: Vec<f32>,\n\
-               \x20   rows: usize,\n\
-               \x20   cols: usize,\n\
-               }\n\
-               \n\
-               impl Grid {\n\
-               \x20   pub fn wrap(data: Vec<f32>, rows: usize, cols: usize) -> Grid {\n\
-               \x20       Grid { data, rows, cols }\n\
-               \x20   }\n\
-               \n\
-               \x20   pub fn sum(&self) -> f32 {\n\
-               \x20       let mut acc = 0.0;\n\
-               \x20       for r in 0..self.rows {\n\
-               \x20           for c in 0..self.cols {\n\
-               \x20               acc += self.data[r * self.cols + c];\n\
-               \x20           }\n\
-               \x20       }\n\
-               \x20       acc\n\
-               \x20   }\n\
-               }\n";
-    let (findings, _) = analyze(&[(TENSOR, src)]);
-    let s1 = rule(&findings, "S1");
-    assert_eq!(s1.len(), 1, "{findings:#?}");
-    assert_eq!(s1[0].line, 16);
-    assert_eq!(
-        s1[0].message,
-        "unchecked index `self.data[r*self.cols+c]` reachable from \
-         public API via tensor::Grid::sum"
-    );
-}
-
-// --- Layer 4: C1 data-race freedom -----------------------------------------
-
-#[test]
-fn c1_flags_shared_mut_capture_with_exact_line_and_chain() {
-    let src = r#"
-pub fn step(out: &mut Vec<f32>) {
-    rayon::scope(|s| {
-        s.spawn(move |_| {
-            out[0] = 1.0;
-        });
-        s.spawn(move |_| {
-            out[0] = 2.0;
-        });
-    });
-}
-"#;
-    let (findings, _) = analyze(&[(CORE, src)]);
-    let c1 = rule(&findings, "C1");
-    assert_eq!(c1.len(), 1, "{findings:#?}");
-    assert_eq!(c1[0].file, CORE);
-    assert_eq!(c1[0].line, 4);
-    // The diagnostic names BOTH capture chains so the overlap is
-    // auditable without re-running the analysis.
-    assert!(
-        c1[0].message.contains("`out` via spawn@4 -> out (line 4)"),
-        "first chain missing: {}",
-        c1[0].message
-    );
-    assert!(
-        c1[0].message.contains("`out` via spawn@7 -> out (line 7)"),
-        "second chain missing: {}",
-        c1[0].message
-    );
-}
-
-#[test]
-fn c1_passes_disjoint_chunks_mut_partition() {
-    let src = r#"
-pub fn par_blocks(out: &mut [f32], n: usize, rows_per: usize) {
-    rayon::scope(|scope| {
-        for (chunk_idx, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let row0 = chunk_idx * rows_per;
-            scope.spawn(move |_| {
-                let rows = chunk.len() / n.max(1);
-                for v in chunk.iter_mut() {
-                    *v = (row0 + rows) as f32;
-                }
-            });
-        }
-    });
-}
-"#;
-    let (findings, _) = analyze(&[(TENSOR, src)]);
-    assert!(
-        rule(&findings, "C1").is_empty(),
-        "chunks_mut row blocks must prove disjoint: {findings:#?}"
-    );
-}
-
-#[test]
-fn c1_passes_round_robin_bucket_pattern() {
-    // Miniature of the engine's sharded scope: round-robin buckets of
-    // &mut result slots, one spawn per worker, per-worker workspace
-    // slots, and a let-closure worker body captured by reference.
-    let src = r#"
-pub fn engine(slots: &mut Vec<Option<f32>>, ws_slots: &mut [f32], workers: usize) {
-    let run_shard = |i: usize, ws: &mut f32| {
-        *ws += i as f32;
-        Some(*ws)
-    };
-    let mut buckets: Vec<Vec<(usize, &mut Option<f32>)>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    for (i, slot) in slots.iter_mut().enumerate() {
-        buckets[i % workers].push((i, slot));
-    }
-    let run_shard = &run_shard;
-    rayon::scope(|scope| {
-        for (bucket, ws) in buckets.into_iter().zip(ws_slots.iter_mut()) {
-            scope.spawn(move |_| {
-                for (i, slot) in bucket {
-                    *slot = Some(run_shard(i, ws));
-                }
-            });
-        }
-    });
-}
-"#;
-    let (findings, _) = analyze(&[(CORE, src)]);
-    let conc: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == "C1" || f.rule == "C2")
-        .collect();
-    assert!(
-        conc.is_empty(),
-        "bucket pattern must prove clean: {findings:#?}"
-    );
-}
-
-// --- Layer 4: C2 deterministic merge order ---------------------------------
+// --- C2: deterministic merge order ------- ---------------------------------
 
 #[test]
 fn c2_flags_completion_order_channel_merge() {
@@ -796,32 +594,7 @@ pub fn good(slots: &[f32]) -> f32 {
     );
 }
 
-#[test]
-fn c2_flags_cross_closure_write_read() {
-    let src = r#"
-pub fn bad(state: &mut Vec<f32>, out: &mut [f32]) {
-    rayon::scope(|s| {
-        s.spawn(move |_| {
-            state[0] = 1.0;
-        });
-        s.spawn(move |_| {
-            out[0] = state[0];
-        });
-    });
-}
-"#;
-    let (findings, _) = analyze(&[(CORE, src)]);
-    let c2 = rule(&findings, "C2");
-    assert_eq!(c2.len(), 1, "{findings:#?}");
-    assert_eq!(c2[0].line, 4);
-    assert!(
-        c2[0].message.contains("`state` via spawn@4 -> state"),
-        "{}",
-        c2[0].message
-    );
-}
-
-// --- Layer 4: C3 synchronization discipline --------------------------------
+// --- C3: synchronization discipline ------ --------------------------------
 
 #[test]
 fn c3_flags_mutex_in_numeric_crate_and_accepts_sync_justification() {

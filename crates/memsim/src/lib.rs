@@ -30,6 +30,9 @@
 //! assert_eq!(t.peak_total(), 1536);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(unused_assignments)]
+
 pub mod model;
 
 mod category;

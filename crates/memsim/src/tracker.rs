@@ -34,8 +34,7 @@ pub struct MemoryTracker {
 }
 
 /// Selects one category's slot out of a `[u64; 3]` by destructuring
-/// instead of indexing, so the access is infallible by construction
-/// (eta-lint P1 forbids bare slice indexing in library crates).
+/// instead of indexing, so the access is infallible by construction.
 fn slot(cells: &mut [u64; 3], category: DataCategory) -> &mut u64 {
     let [weights, activations, intermediates] = cells;
     match category {

@@ -24,6 +24,8 @@
 //! D2/S2 exemption list with telemetry — timing must never feed
 //! numerics, only reports.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod flame;
 pub mod roofline;

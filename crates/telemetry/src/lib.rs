@@ -20,6 +20,8 @@
 //! Handles are `Clone + Send`; every operation takes `&self`, so one
 //! handle can be shared across the whole stack.
 
+#![forbid(unsafe_code)]
+
 pub mod keys;
 mod manifest;
 mod metrics;

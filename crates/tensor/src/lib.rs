@@ -25,6 +25,9 @@
 //! assert_eq!(a, 0.5);
 //! ```
 
+#![deny(unsafe_code)]
+#![deny(unused_assignments)]
+
 pub mod activation;
 pub mod init;
 pub mod kernels;
@@ -32,6 +35,9 @@ pub mod lowp;
 pub mod matrix;
 pub mod pack;
 pub mod parallel;
+// The only `unsafe` in the numeric crates: `std::arch` intrinsics behind
+// runtime feature detection (eta-lint A1/A2 check each block).
+#[allow(unsafe_code)]
 pub mod simd;
 pub mod sparse;
 pub mod stats;

@@ -16,13 +16,14 @@
 //! therefore **bit-identical** to serial results — `threads` is purely
 //! a latency knob, never a numerics knob.
 //!
-//! The eta-lint layer-4 concurrency rules hold this contract statically
-//! (C1 proves the row panels disjoint; C2 pins any cross-thread value
-//! to the post-join sequential merge), and spawn sites additionally
-//! clamp their worker count to `rayon::current_num_threads()` — the
-//! in-tree rayon shim backs every spawn with an OS thread and debug-
-//! asserts a per-scope spawn cap, so `threads` beyond the machine
-//! must change partitioning (latency) without ever changing results.
+//! The row panels are disjoint because the borrow checker says so
+//! (`chunks_mut`; the crate denies `unsafe_code` outside `simd`), and
+//! eta-lint's C2/C3 pin any cross-thread value to the post-join
+//! sequential merge; spawn sites additionally clamp their worker count
+//! to `rayon::current_num_threads()` — the in-tree rayon shim backs
+//! every spawn with an OS thread and debug-asserts a per-scope spawn
+//! cap, so `threads` beyond the machine must change partitioning
+//! (latency) without ever changing results.
 
 use serde::{Deserialize, Serialize};
 

@@ -189,7 +189,9 @@ impl SparseVec {
     /// Panics if `rows * cols != dense_len`.
     pub fn decode_matrix(&self, rows: usize, cols: usize) -> Matrix {
         assert_eq!(rows * cols, self.dense_len, "decode shape mismatch");
-        Matrix::from_vec(rows, cols, self.decode()).expect("length checked above")
+        let mut out = Matrix::zeros(rows, cols);
+        self.decode_into(out.as_mut_slice());
+        out
     }
 
     /// Element-wise product against a dense slice, visiting only stored

@@ -31,6 +31,8 @@
 //! assert_eq!(eta_lstm_core::Task::batches_per_epoch(&task), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod markov;
 pub mod metrics;
 pub mod spec;

@@ -59,6 +59,46 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     /// spawn with an OS thread, so per-item spawning (instead of the
     /// engine's one-task-per-worker partitioning) must fail loudly
     /// rather than silently oversubscribe the machine.
+    ///
+    /// # Data races do not compile
+    ///
+    /// The numeric crates forbid `unsafe_code`, so the `Send + 'scope`
+    /// bound above plus the borrow checker is the whole race detector
+    /// (these were eta-lint's C1/C2-overlap fail fixtures). Two tasks
+    /// sharing one `&mut`:
+    ///
+    /// ```compile_fail,E0382
+    /// pub fn bad(out: &mut Vec<f32>) {
+    ///     rayon::scope(|s| {
+    ///         s.spawn(move |_| out[0] = 1.0);
+    ///         s.spawn(move |_| out[0] = 2.0);
+    ///     });
+    /// }
+    /// ```
+    ///
+    /// A looped spawn moving one `&mut` into every iteration:
+    ///
+    /// ```compile_fail,E0382
+    /// pub fn bad(acc: &mut Vec<f32>, n: usize) {
+    ///     rayon::scope(|s| {
+    ///         for i in 0..n {
+    ///             s.spawn(move |_| acc.push(i as f32));
+    ///         }
+    ///     });
+    /// }
+    /// ```
+    ///
+    /// One task writing what a sibling reads (the value read would
+    /// depend on scheduling):
+    ///
+    /// ```compile_fail,E0382
+    /// pub fn bad(state: &mut Vec<f32>, out: &mut [f32]) {
+    ///     rayon::scope(|s| {
+    ///         s.spawn(move |_| state[0] = 1.0);
+    ///         s.spawn(move |_| out[0] = state[0]);
+    ///     });
+    /// }
+    /// ```
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
@@ -85,6 +125,27 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 /// spawned; all tasks are joined before `scope` returns. A panic in any
 /// spawned task propagates to the caller when the scope joins, matching
 /// rayon's contract.
+///
+/// The shape every parallel kernel in the workspace uses — partition
+/// first, then hand each task its own disjoint `&mut` window (the
+/// racy variants under [`Scope::spawn`] are compile errors):
+///
+/// ```
+/// pub fn good(out: &mut [f32], w: usize) {
+///     rayon::scope(|s| {
+///         for (c, chunk) in out.chunks_mut(w).enumerate() {
+///             s.spawn(move |_| {
+///                 for v in chunk.iter_mut() {
+///                     *v = c as f32;
+///                 }
+///             });
+///         }
+///     });
+/// }
+/// let mut out = [0.0f32; 6];
+/// good(&mut out, 2);
+/// assert_eq!(out, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]);
+/// ```
 pub fn scope<'env, F, R>(f: F) -> R
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,

@@ -18,6 +18,7 @@
 
 use eta_lstm::core::layer::Instruments;
 use eta_lstm::core::model::{LstmModel, StepPlan, StepResult};
+use eta_lstm::core::ms1::Ms1Config;
 use eta_lstm::core::ms3::Ms3Config;
 use eta_lstm::core::{LstmConfig, Targets, Workspace};
 use eta_lstm::tensor::lowp::{
@@ -244,15 +245,19 @@ proptest! {
                 &mut Workspace::new(),
             )
             .expect("baseline step");
-        for k in [1usize, 2, 4] {
+        // MS1 at threshold 0 stores every P1 product, so MS1×MS3 must be
+        // bitwise baseline too — the one path that seeds a recomputed
+        // segment from the tape's out-of-band `ckpt_s` lane.
+        for (k, ms1) in [(1usize, false), (2, false), (4, false), (2, true)] {
             let plan = StepPlan {
+                ms1: ms1.then_some(Ms1Config { threshold: 0.0 }),
                 ms3: Some(Ms3Config::new(k, Precision::F32)),
                 ..StepPlan::baseline()
             };
             let ms3 = model
                 .train_step_ws(&xs, &targets, &plan, &inst, None, &mut Workspace::new())
                 .expect("ms3 step");
-            assert_bitwise_equal(&base, &ms3, &format!("k={k}"));
+            assert_bitwise_equal(&base, &ms3, &format!("k={k} ms1={ms1}"));
             prop_assert!(!ms3.ms3_overflow);
             if k == 1 {
                 prop_assert!(ms3.ms3_recompute_cells == 0, "k=1 must not recompute");
