@@ -343,10 +343,8 @@ impl EtaAccel {
 }
 
 /// PE-occupancy histogram buckets: deciles of the busy fraction.
-#[cfg(feature = "telemetry")]
 pub const OCCUPANCY_BUCKETS: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
-#[cfg(feature = "telemetry")]
 impl EtaAccel {
     /// [`EtaAccel::simulate`] plus metric recording.
     ///

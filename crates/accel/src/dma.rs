@@ -158,7 +158,6 @@ impl DmaModule {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl DmaModule {
     /// [`DmaModule::write`] plus metric recording.
     ///

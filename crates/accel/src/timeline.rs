@@ -187,7 +187,6 @@ pub fn trace(cells: &[CellKernels], ops_per_cycle: f64, alloc: Alloc) -> Timelin
 /// [`crate::arch::OCCUPANCY_BUCKETS`]), and under [`Alloc::Dynamic`]
 /// each kernel-kind boundary — the moment the swing PEs hand off between
 /// the MatMul and EW groups — increments `accel_swing_handoffs_total`.
-#[cfg(feature = "telemetry")]
 pub fn trace_instrumented(
     cells: &[CellKernels],
     ops_per_cycle: f64,

@@ -2,8 +2,7 @@
 //!
 //! The benchmark harness regenerating every table and figure of the
 //! η-LSTM paper's evaluation (see DESIGN.md §4 for the experiment
-//! index). One binary per figure/table lives in `src/bin/`; Criterion
-//! micro-benchmarks live in `benches/`.
+//! index). One binary per figure/table lives in `src/bin/`.
 //!
 //! The harness pipeline (mirroring the paper's methodology on our
 //! simulated substrate):

@@ -84,7 +84,7 @@ pub struct LayerTape {
 }
 
 /// Instrumentation hooks shared across the model (footprint, traffic,
-/// and — with the `telemetry` feature — span tracing).
+/// and span tracing).
 #[derive(Clone, Default)]
 pub struct Instruments {
     /// Footprint tracker.
@@ -93,7 +93,6 @@ pub struct Instruments {
     pub traffic: eta_memsim::SharedTraffic,
     /// Telemetry handle for span tracing; `None` leaves every span
     /// hook a no-op.
-    #[cfg(feature = "telemetry")]
     pub telemetry: Option<eta_telemetry::Telemetry>,
 }
 
@@ -101,7 +100,6 @@ impl std::fmt::Debug for Instruments {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("Instruments");
         d.field("mem", &self.mem).field("traffic", &self.traffic);
-        #[cfg(feature = "telemetry")]
         d.field("telemetry", &self.telemetry.is_some());
         d.finish()
     }
@@ -116,7 +114,6 @@ impl Instruments {
     /// Instruments whose footprint and traffic events are mirrored
     /// into `telemetry` (as `memsim_*` and `dram_*` metrics) and whose
     /// span hooks open telemetry spans.
-    #[cfg(feature = "telemetry")]
     pub fn with_telemetry(telemetry: eta_telemetry::Telemetry) -> Self {
         Instruments {
             mem: eta_memsim::SharedTracker::with_telemetry(telemetry.clone()),
@@ -127,29 +124,15 @@ impl Instruments {
 
     /// Opens a registry span named `name` (see
     /// [`eta_telemetry::Telemetry::span`]); `None` without a handle.
-    #[cfg(feature = "telemetry")]
     pub fn span(&self, name: &'static str) -> Option<eta_telemetry::SpanGuard> {
         self.telemetry.as_ref().map(|t| t.span(name))
-    }
-
-    /// No-op without the `telemetry` feature.
-    #[cfg(not(feature = "telemetry"))]
-    pub fn span(&self, _name: &'static str) -> Option<()> {
-        None
     }
 
     /// Opens a span at the root of a fresh per-thread stack (see
     /// [`eta_telemetry::Telemetry::span_root`]) — shard scopes use
     /// this so trace structure is thread-count invariant.
-    #[cfg(feature = "telemetry")]
     pub fn span_root(&self, name: &'static str) -> Option<eta_telemetry::SpanGuard> {
         self.telemetry.as_ref().map(|t| t.span_root(name))
-    }
-
-    /// No-op without the `telemetry` feature.
-    #[cfg(not(feature = "telemetry"))]
-    pub fn span_root(&self, _name: &'static str) -> Option<()> {
-        None
     }
 
     /// Opens a trace-only scope (see
@@ -157,15 +140,8 @@ impl Instruments {
     /// atomic load — unless an eta-prof tracer is attached. The
     /// per-cell GEMM/epilogue/BP hooks go through here, so the hot
     /// path pays nothing measurable when not tracing.
-    #[cfg(feature = "prof")]
     pub fn scope(&self, name: &'static str) -> Option<eta_telemetry::SpanGuard> {
         self.telemetry.as_ref().and_then(|t| t.scope(name))
-    }
-
-    /// No-op without the `prof` feature.
-    #[cfg(not(feature = "prof"))]
-    pub fn scope(&self, _name: &'static str) -> Option<()> {
-        None
     }
 
     fn store(&self, cat: DataCategory, bytes: u64) {

@@ -539,6 +539,70 @@ mod tests {
         assert_eq!(sharded.shards, 1);
     }
 
+    /// The reduce is the pairwise tree `(0+1)+(2+3)`, bit for bit. A
+    /// left fold `((0+1)+2)+3` rounds differently on this input
+    /// (asserted below), so it cannot pass as the tree.
+    #[test]
+    fn four_shard_reduce_is_the_pairwise_tree_not_a_left_fold() {
+        let cfg = config(8);
+        let model = LstmModel::new(&cfg, 7);
+        let (xs, targets) = batch_inputs(&cfg, 11);
+        let inst = Instruments::new();
+        let plan = StepPlan::baseline();
+        let par = Parallelism::with_threads(1);
+        let engine = fresh_sharded_step(&model, &xs, &targets, &plan, &inst, &par).unwrap();
+        assert_eq!(engine.shards, 4);
+
+        // Each shard on its own through the serial step, weighted by
+        // its batch fraction.
+        let weighted_shards = || -> [StepResult; 4] {
+            let shards: Vec<StepResult> = shard_ranges(cfg.batch_size, 4)
+                .into_iter()
+                .map(|(start, len)| {
+                    let sx: Vec<Matrix> = xs.iter().map(|x| x.rows_slice(start, len)).collect();
+                    let st = slice_targets(&targets, start, len);
+                    let mut r = model.fresh_step(&sx, &st, &plan, &inst).unwrap();
+                    let w = len as f64 / cfg.batch_size as f64;
+                    r.loss *= w;
+                    for g in &mut r.grads.cells {
+                        g.scale(w as f32);
+                    }
+                    r.grads.head.scale(w as f32);
+                    r
+                })
+                .collect();
+            shards.try_into().expect("batch 8 splits into four shards")
+        };
+        let add = |mut a: StepResult, b: StepResult| {
+            merge_step_results(&mut a, &b).unwrap();
+            a
+        };
+        // Loss and every gradient element as raw bits.
+        let bits = |r: &StepResult| -> (u64, Vec<u32>) {
+            let cells = r.grads.cells.iter().flat_map(|g| {
+                let w = g.dw.as_slice().iter().chain(g.du.as_slice());
+                w.chain(&g.db)
+            });
+            let head = r.grads.head.dw.as_slice().iter().chain(&r.grads.head.db);
+            (
+                r.loss.to_bits(),
+                cells.chain(head).map(|v| v.to_bits()).collect(),
+            )
+        };
+
+        let [s0, s1, s2, s3] = weighted_shards();
+        let tree = add(add(s0, s1), add(s2, s3));
+        let [s0, s1, s2, s3] = weighted_shards();
+        let left_fold = add(add(add(s0, s1), s2), s3);
+
+        assert_ne!(
+            bits(&tree),
+            bits(&left_fold),
+            "input cannot tell the two orders apart"
+        );
+        assert_eq!(bits(&engine), bits(&tree));
+    }
+
     #[test]
     fn tiny_batches_degrade_to_fewer_shards() {
         let cfg = config(2);

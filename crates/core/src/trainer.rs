@@ -145,7 +145,6 @@ pub struct Trainer {
     parallelism: Parallelism,
     panel_cache: PanelCache,
     ws_pool: WorkspacePool,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<eta_telemetry::Telemetry>,
 }
 
@@ -169,7 +168,6 @@ impl Trainer {
             parallelism: Parallelism::serial(),
             panel_cache: PanelCache::new(),
             ws_pool: WorkspacePool::new(),
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         })
     }
@@ -177,7 +175,6 @@ impl Trainer {
     /// Attaches a telemetry pipeline: epochs and batches become spans,
     /// and per-epoch loss/density/skip/footprint land in the metric
     /// registry (see the README's Observability section for names).
-    #[cfg(feature = "telemetry")]
     pub fn with_telemetry(mut self, telemetry: eta_telemetry::Telemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -262,17 +259,11 @@ impl Trainer {
 
     /// Fresh per-epoch instruments, mirrored into telemetry when a
     /// pipeline is attached.
-    #[cfg(feature = "telemetry")]
     fn epoch_instruments(&self) -> Instruments {
         match &self.telemetry {
             Some(t) => Instruments::with_telemetry(t.clone()),
             None => Instruments::new(),
         }
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    fn epoch_instruments(&self) -> Instruments {
-        Instruments::new()
     }
 
     /// Runs `epochs` training epochs over `task` and reports the
@@ -286,14 +277,11 @@ impl Trainer {
         let mut first_epoch_magnitudes: Vec<Vec<f64>> = Vec::new();
         let loss_kind = task.loss_kind();
 
-        #[cfg(feature = "telemetry")]
         let mut kernel_stats_last = eta_tensor::stats::snapshot();
-        #[cfg(feature = "telemetry")]
         let mut dispatch_last = eta_tensor::stats::dispatch_snapshot();
         for epoch in 0..epochs {
             let plan = self.plan_for_epoch(epoch);
             let instruments = self.epoch_instruments();
-            #[cfg(feature = "telemetry")]
             let _epoch_span = self
                 .telemetry
                 .as_ref()
@@ -311,7 +299,6 @@ impl Trainer {
             let mut ms3_conv = eta_tensor::ConvStats::default();
 
             for b in 0..task.batches_per_epoch() {
-                #[cfg(feature = "telemetry")]
                 let _batch_span = self
                     .telemetry
                     .as_ref()
@@ -436,7 +423,6 @@ impl Trainer {
                 },
             };
 
-            #[cfg(feature = "telemetry")]
             if let Some(t) = &self.telemetry {
                 use eta_telemetry::keys;
                 t.incr(keys::TRAIN_EPOCHS_TOTAL, 1);
@@ -490,10 +476,6 @@ impl Trainer {
                         1.0
                     }),
                 );
-            }
-            #[cfg(not(feature = "telemetry"))]
-            {
-                let _ = (shards_used, reduce_seconds, ms3_conv);
             }
             reports.push(report);
         }
@@ -647,7 +629,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn telemetry_records_epochs_footprint_and_loss() {
         use eta_telemetry::{RunManifest, Telemetry};
 

@@ -7,8 +7,7 @@
 //! runs) and `4·(rows·k + k·n + rows·n)` logical operand bytes (each
 //! operand element counted once, ignoring cache re-reads). The
 //! trainer snapshots these counters per epoch and emits the deltas as
-//! `kernel_gemm_*_total` telemetry; the roofline sweep in eta-bench
-//! reads them directly to derive per-shape arithmetic intensity.
+//! `kernel_gemm_*_total` telemetry.
 //!
 //! The counters are global rather than threaded through the call tree
 //! because the kernels are leaf functions reached from several crates
@@ -52,15 +51,6 @@ impl GemmSnapshot {
             flops: self.flops.saturating_sub(earlier.flops),
             bytes: self.bytes.saturating_sub(earlier.bytes),
             calls: self.calls.saturating_sub(earlier.calls),
-        }
-    }
-
-    /// Arithmetic intensity in flops per byte (0 when no bytes moved).
-    pub fn intensity(&self) -> f64 {
-        if self.bytes == 0 {
-            0.0
-        } else {
-            self.flops as f64 / self.bytes as f64
         }
     }
 }
@@ -151,17 +141,6 @@ mod tests {
         assert!(d.flops >= 2 * 4 * 8 * 16);
         assert!(d.bytes >= 4 * (4 * 8 + 8 * 16 + 4 * 16));
         assert!(d.calls >= 1);
-    }
-
-    #[test]
-    fn intensity_is_flops_over_bytes() {
-        let s = GemmSnapshot {
-            flops: 200,
-            bytes: 50,
-            calls: 1,
-        };
-        assert_eq!(s.intensity(), 4.0);
-        assert_eq!(GemmSnapshot::default().intensity(), 0.0);
     }
 
     #[test]
