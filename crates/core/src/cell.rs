@@ -336,13 +336,18 @@ pub fn backward(
     let dh_prev = dgates.matmul_nn(&params.u)?;
 
     // BP-MatMul (Eq. 3): weight gradients (outer products summed over
-    // the batch).
+    // the batch). Each of δW, δU, δb is formed for this cell and then
+    // added to `grads` once.
     grads.dw.add_assign(&dgates.matmul_tn(x)?)?;
     grads.du.add_assign(&dgates.matmul_tn(h_prev)?)?;
+    let mut db = vec![0.0f32; grads.db.len()];
     for r in 0..dgates.rows() {
-        for (acc, &g) in grads.db.iter_mut().zip(dgates.row(r).iter()) {
+        for (acc, &g) in db.iter_mut().zip(dgates.row(r).iter()) {
             *acc += g;
         }
+    }
+    for (acc, &g) in grads.db.iter_mut().zip(db.iter()) {
+        *acc += g;
     }
 
     Ok(CellBackwardOut {
@@ -352,7 +357,7 @@ pub fn backward(
     })
 }
 
-/// Borrowed view of the six BP-EW-P1 products. The zero-alloc backward
+/// Borrowed view of the six BP-EW-P1 products. The workspace backward
 /// path uses this so `p_s` can alias the forget gate already stored in
 /// the tape (it is definitionally `f`) and the other five can live in a
 /// reused [`P1Buffers`] arena — nothing is cloned per timestep.
@@ -581,12 +586,16 @@ pub fn forward_ws(
     Ok(())
 }
 
-/// Zero-alloc backward pass of one cell against pre-packed weight
-/// panels and reused [`BwdBuffers`]: the accumulated state gradient and
-/// the `[batch, 4H]` gate-gradient block are written in place (no
-/// `clone`, no `hcat`), and the weight gradients accumulate directly
-/// into `grads` via the fused-accumulate GEMM. Bit-identical to
-/// [`backward`] on the scalar tier.
+/// Backward pass of one cell against pre-packed weight panels and
+/// reused [`BwdBuffers`]: the accumulated state gradient and the
+/// `[batch, 4H]` gate-gradient block are written in place (no `clone`,
+/// no `hcat`), and the cell's weight gradients are added straight into
+/// `grads` — the layer's accumulator — by the fused `tn` GEMM, which
+/// also yields the second return value: this cell's gradient magnitude
+/// `Σ|δW_t| + Σ|δU_t|` (paper Fig. 8). The only allocations left are
+/// the three returned matrices. `grads` is bit-identical to
+/// [`backward`]'s on the scalar tier; the magnitude matches
+/// [`CellGrads::magnitude`] of a per-cell gradient to rounding.
 ///
 /// # Errors
 ///
@@ -603,7 +612,7 @@ pub fn backward_ws(
     kernel: &ParallelConfig,
     bwd: &mut BwdBuffers,
     instruments: &crate::layer::Instruments,
-) -> Result<CellBackwardOut> {
+) -> Result<(CellBackwardOut, f64)> {
     let (batch, h) = (dh_total.rows(), dh_total.cols());
     for m in [p1.p_i, p1.p_f, p1.p_c, p1.p_o, p1.p_h, p1.p_s, ds] {
         if m.rows() != batch || m.cols() != h {
@@ -617,7 +626,12 @@ pub fn backward_ws(
         }
     }
     bwd.ensure(batch, h);
-    let BwdBuffers { ds_acc, dgates } = bwd;
+    let BwdBuffers {
+        ds_acc,
+        dgates,
+        db,
+        tn,
+    } = bwd;
 
     let ew_scope = instruments.scope("bp_ew");
     // BP-EW-P2: δS' = δS + δH' ⊙ p_h, fused in place.
@@ -643,13 +657,6 @@ pub fn backward_ws(
         p1.p_o.as_slice(),
     );
     let dg = dgates.as_mut_slice();
-    debug_assert_eq!(dg.len(), batch * (4 * h));
-    debug_assert_eq!(dsa.len(), batch * h);
-    debug_assert_eq!(dht.len(), batch * h);
-    debug_assert_eq!(pi.len(), batch * h);
-    debug_assert_eq!(pf.len(), batch * h);
-    debug_assert_eq!(pc.len(), batch * h);
-    debug_assert_eq!(po.len(), batch * h);
     for r in 0..batch {
         let lo = r * h;
         let hi = lo + h;
@@ -658,7 +665,6 @@ pub fn backward_ws(
         let pir = &pi[lo..hi];
         let pfr = &pf[lo..hi];
         let pcr = &pc[lo..hi];
-        debug_assert!(hi <= po.len());
         let por = &po[lo..hi];
         let row = &mut dg[r * (4 * h)..(r + 1) * (4 * h)];
         let (di, rest) = row.split_at_mut(h);
@@ -686,21 +692,30 @@ pub fn backward_ws(
     let dx = dgates.par_matmul_nn_packed(&panels.w_bwd, kernel)?;
     let dh_prev = dgates.par_matmul_nn_packed(&panels.u_bwd, kernel)?;
 
-    // BP-MatMul (Eq. 3): accumulate weight gradients in place.
-    dgates.matmul_tn_acc_into(x, &mut grads.dw, kernel)?;
-    dgates.matmul_tn_acc_into(h_prev, &mut grads.du, kernel)?;
+    // BP-MatMul (Eq. 3): each product is added to the layer's gradient
+    // as it is formed and leaves only its magnitude behind.
+    let magnitude = dgates.matmul_tn_acc_abs_into(x, &mut grads.dw, tn, kernel)?
+        + dgates.matmul_tn_acc_abs_into(h_prev, &mut grads.du, tn, kernel)?;
+    db.clear();
+    db.resize(4 * h, 0.0);
     for row in dgates.as_slice().chunks_exact(4 * h) {
-        for (acc, &g) in grads.db.iter_mut().zip(row.iter()) {
+        for (acc, &g) in db.iter_mut().zip(row.iter()) {
             *acc += g;
         }
     }
+    for (acc, &g) in grads.db.iter_mut().zip(db.iter()) {
+        *acc += g;
+    }
     drop(gemm_scope);
 
-    Ok(CellBackwardOut {
-        dx,
-        dh_prev,
-        ds_prev,
-    })
+    Ok((
+        CellBackwardOut {
+            dx,
+            dh_prev,
+            ds_prev,
+        },
+        magnitude,
+    ))
 }
 
 #[cfg(test)]
@@ -947,7 +962,7 @@ mod tests {
                 p_h: &ws.p1.p_h,
                 p_s: &reference.f,
             };
-            let out_ws = backward_ws(
+            let (out_ws, magnitude) = backward_ws(
                 &panels,
                 &p1_view,
                 &x,
@@ -962,10 +977,13 @@ mod tests {
             .unwrap();
             assert_eq!(out_ws, out_ref);
             assert_eq!(g_ws, g_ref);
+            // Onto zeros the accumulator *is* the cell's gradient.
+            let reference = g_ref.magnitude();
+            assert!((magnitude - reference).abs() <= 1e-12 * reference);
 
             // Same through the P1Dense::as_ref adaptor, with reused
             // backward buffers and pre-seeded gradient accumulators.
-            let out_ws2 = backward_ws(
+            let (out_ws2, magnitude2) = backward_ws(
                 &panels,
                 &p1.as_ref(),
                 &x,
@@ -978,6 +996,7 @@ mod tests {
                 &inst,
             )
             .unwrap();
+            assert_eq!(magnitude2.to_bits(), magnitude.to_bits());
             let mut g_ref2 = g_ref.clone();
             let out_ref2 = backward(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref2).unwrap();
             assert_eq!(out_ws2, out_ref2);

@@ -257,16 +257,24 @@ impl LstmLayer {
         let uses_ckpt_s = ms3_drops && matches!(mode, StorageMode::Compressed(_));
         let batch = xs[0].rows();
         let h = self.hidden();
-        let mut h_prev = Matrix::zeros(batch, h);
-        let mut s_prev = Matrix::zeros(batch, h);
+        // The recurrence reads `h_{t−1}` from the `hs` lane and `s_{t−1}`
+        // from the dense record just stored; only a cell whose state
+        // the tape does not keep carries it owned.
+        let zero = Matrix::zeros(batch, h);
+        let mut s_carry: Option<Matrix> = None;
         let mut entries = Vec::with_capacity(xs.len());
-        let mut hs = Vec::with_capacity(xs.len());
+        let mut hs: Vec<Matrix> = Vec::with_capacity(xs.len());
         let mut ckpt_s: Vec<Option<Matrix>> = Vec::new();
 
         for (t, x) in xs.iter().enumerate() {
             // Every cell loads the layer weights.
             instruments.load(DataCategory::Weights, self.params.size_bytes());
             let cell_scope = instruments.scope("fw_cell");
+            let h_prev = hs.last().unwrap_or(&zero);
+            let s_prev = match entries.last() {
+                Some(TapeEntry::Dense(prev)) => &prev.s,
+                _ => s_carry.as_ref().unwrap_or(&zero),
+            };
             // A fresh record per timestep: the tape (or the recurrence
             // carry) takes ownership of its buffers below.
             let mut fw = CellForward::empty();
@@ -274,8 +282,8 @@ impl LstmLayer {
                 &self.params,
                 panels,
                 x,
-                &h_prev,
-                &s_prev,
+                h_prev,
+                s_prev,
                 kernel,
                 &mut ws.preact,
                 instruments,
@@ -317,9 +325,8 @@ impl LstmLayer {
                     DataCategory::Activations,
                     scaled_bytes(fw.h.size_bytes(), precision),
                 );
-                hs.push(fw.h.clone());
-                h_prev = fw.h;
-                s_prev = fw.s;
+                hs.push(fw.h);
+                s_carry = Some(fw.s);
             } else if !ms3_keeps {
                 // MS3-dropped cell: only the activation survives; the
                 // record is recomputed from the segment seeds in
@@ -332,9 +339,8 @@ impl LstmLayer {
                     DataCategory::Activations,
                     scaled_bytes(fw.h.size_bytes(), precision),
                 );
-                hs.push(fw.h.clone());
-                h_prev = fw.h;
-                s_prev = fw.s;
+                hs.push(fw.h);
+                s_carry = Some(fw.s);
             } else {
                 match mode {
                     StorageMode::Dense => {
@@ -347,8 +353,6 @@ impl LstmLayer {
                             scaled_bytes(fw.h.size_bytes(), precision),
                         );
                         hs.push(fw.h.clone());
-                        h_prev = fw.h.clone();
-                        s_prev = fw.s.clone();
                         if uses_ckpt_s {
                             ckpt_s.push(None);
                         }
@@ -360,7 +364,7 @@ impl LstmLayer {
                         // the workspace buffers, with p_s borrowed from
                         // the forget gate), keep only the compressed
                         // products.
-                        cell::compute_p1_into(&mut ws.p1, &fw, &s_prev)?;
+                        cell::compute_p1_into(&mut ws.p1, &fw, s_prev)?;
                         let packet = P1Packet::compress_streams(
                             [
                                 &ws.p1.p_i, &ws.p1.p_f, &ws.p1.p_c, &ws.p1.p_o, &ws.p1.p_h, &fw.f,
@@ -385,9 +389,8 @@ impl LstmLayer {
                             DataCategory::Activations,
                             scaled_bytes(fw.h.size_bytes(), precision),
                         );
-                        hs.push(fw.h.clone());
-                        h_prev = fw.h;
-                        s_prev = fw.s;
+                        hs.push(fw.h);
+                        s_carry = Some(fw.s);
                     }
                 }
             }
@@ -410,12 +413,14 @@ impl LstmLayer {
     /// compensation factor applied to the accumulated weight gradients.
     /// `kernel` controls GEMM-level parallelism inside each BP cell.
     ///
-    /// The P1 products, the summed context gradient, and the fused
-    /// gate-gradient block all live in the reusable [`Workspace`]
-    /// instead of fresh per-timestep allocations, and the BP GEMMs
-    /// consume the packed `panels` (when `None` the layer packs its
-    /// weights once locally). Bit-identical on the scalar tier to the
-    /// reference cell pipeline.
+    /// The P1 products, the summed context gradient, the fused
+    /// gate-gradient block and the weight-gradient GEMMs' scratch all
+    /// live in the reusable [`Workspace`] instead of fresh per-timestep
+    /// allocations, each cell adds its `δW`/`δU`/`δb` straight into the
+    /// returned gradient (no cell-sized gradient is ever materialised),
+    /// and the BP GEMMs consume the packed `panels` (when `None` the
+    /// layer packs its weights once locally). Bit-identical on the
+    /// scalar tier to the reference cell pipeline.
     ///
     /// With an MS3 config whose interval exceeds 1, [`TapeEntry::Dropped`]
     /// cells are recomputed lazily, one segment at a time, into the
@@ -469,12 +474,11 @@ impl LstmLayer {
 
         let mut grads = CellGrads::zeros_like(&self.params);
         let mut magnitudes = vec![0.0f64; t_len];
-        let mut dxs: Vec<Matrix> = (0..t_len)
-            .map(|t| Matrix::zeros(batch, xs[t].cols()))
-            .collect();
+        // Filled from the last timestep down, reversed at the end.
+        let mut dxs: Vec<Matrix> = Vec::with_capacity(t_len);
 
-        let mut dh_next = zero_h.clone();
-        let mut ds_next = zero_h.clone();
+        // `(δH_t, δS_t)` from cell `t + 1`; `None` reads as zeros.
+        let mut carry: Option<(Matrix, Matrix)> = None;
 
         // Segment cache state: `ws.ms3_segment[i]` holds the recomputed
         // record of cell `base + i`. Backward walks t downward, so each
@@ -487,10 +491,14 @@ impl LstmLayer {
             if matches!(entry, TapeEntry::Skipped { .. }) {
                 // Insignificant BP cell: no computation, gradient
                 // chain truncated at the skip boundary.
-                dh_next = zero_h.clone();
-                ds_next = zero_h.clone();
+                dxs.push(Matrix::zeros(batch, xs[t].cols()));
+                carry = None;
                 continue;
             }
+            let (dh_next, ds_next) = match &carry {
+                Some((dh, ds)) => (dh, ds),
+                None => (&zero_h, &zero_h),
+            };
 
             // Make sure the segment cache covers everything this cell
             // needs: its own record if dropped, and (under MS3) the
@@ -649,28 +657,26 @@ impl LstmLayer {
                 scaled_bytes(xs[t].size_bytes() + h_prev.size_bytes(), precision),
             );
 
-            let mut cell_grads = CellGrads::zeros_like(&self.params);
             let cell_scope = instruments.scope("bp_cell");
-            let out = cell::backward_ws(
+            let (out, magnitude) = cell::backward_ws(
                 panels,
                 &p1,
                 &xs[t],
                 h_prev,
                 &ws.dh_total,
-                &ds_next,
-                &mut cell_grads,
+                ds_next,
+                &mut grads,
                 kernel,
                 &mut ws.bwd,
                 instruments,
             )?;
             drop(cell_scope);
-            magnitudes[t] = cell_grads.magnitude();
-            grads.accumulate(&cell_grads)?;
+            magnitudes[t] = magnitude;
 
-            dxs[t] = out.dx;
-            dh_next = out.dh_prev;
-            ds_next = out.ds_prev;
+            dxs.push(out.dx);
+            carry = Some((out.dh_prev, out.ds_prev));
         }
+        dxs.reverse();
         // Activations released after the layer finishes BP.
         for (x, hm) in xs.iter().zip(tape.hs.iter()) {
             let _ = x;
@@ -1042,14 +1048,16 @@ mod tests {
     /// The PR 5 contract at layer level: the workspace sequence paths
     /// are bit-identical to a reference loop built from the un-fused
     /// cell primitives, with or without shared panels, and with a
-    /// reused workspace.
-    #[test]
-    fn sequence_paths_bit_identical_to_unfused_cell_loop() {
-        let (seq, batch, input, h) = (5usize, 3usize, 6usize, 8usize);
+    /// reused workspace. Returns the per-cell magnitudes, which match
+    /// the reference loop's per-cell `CellGrads::magnitude()` to
+    /// rounding.
+    fn check_sequence_paths(
+        (seq, batch, input, h): (usize, usize, usize, usize),
+        kernel: &ParallelConfig,
+    ) -> Vec<f64> {
         let layer = LstmLayer::new(input, h, 12);
         let xs = inputs(seq, batch, input);
         let inst = Instruments::new();
-        let kernel = ParallelConfig::with_threads(2);
 
         // Reference forward: plain unfused cell primitives.
         let mut h_prev = Matrix::zeros(batch, h);
@@ -1064,7 +1072,7 @@ mod tests {
             ref_fws.push(fw);
         }
 
-        let tape = fw(&layer, &xs, StorageMode::Dense, &[], &kernel, &inst);
+        let tape = fw(&layer, &xs, StorageMode::Dense, &[], kernel, &inst);
         let hs = &tape.hs;
         for (t, fw) in ref_fws.iter().enumerate() {
             assert_eq!(&hs[t], &fw.h);
@@ -1075,7 +1083,7 @@ mod tests {
         }
 
         // Shared panels + reused workspace must change nothing.
-        let panels = LayerPanels::pack_with(&layer.params, &kernel);
+        let panels = LayerPanels::pack_with(&layer.params, kernel);
         let mut ws = Workspace::new();
         for _ in 0..2 {
             let tape2 = layer
@@ -1084,7 +1092,7 @@ mod tests {
                     StorageMode::Dense,
                     &[],
                     None,
-                    &kernel,
+                    kernel,
                     &inst,
                     Some(&panels),
                     &mut ws,
@@ -1093,7 +1101,8 @@ mod tests {
             assert_eq!(&tape2.hs, hs);
         }
 
-        // Reference backward: plain unfused cell primitives, reversed.
+        // Reference backward: plain unfused cell primitives, reversed,
+        // one materialised gradient per cell.
         let mut dys = zeros_grads(seq, batch, h);
         dys[seq - 1] = init::uniform(batch, h, -1.0, 1.0, 77);
         let zero_h = Matrix::zeros(batch, h);
@@ -1101,6 +1110,7 @@ mod tests {
         let mut dh_next = zero_h.clone();
         let mut ds_next = zero_h.clone();
         let mut ref_dxs = Vec::new();
+        let mut ref_magnitudes = Vec::new();
         for t in (0..seq).rev() {
             let p1 = cell::P1Dense::compute(&ref_fws[t], &s_prevs[t]).unwrap();
             let mut dh_total = dys[t].clone();
@@ -1118,11 +1128,13 @@ mod tests {
             )
             .unwrap();
             ref_grads.accumulate(&cg).unwrap();
+            ref_magnitudes.push(cg.magnitude());
             ref_dxs.push(out.dx);
             dh_next = out.dh_prev;
             ds_next = out.ds_prev;
         }
         ref_dxs.reverse();
+        ref_magnitudes.reverse();
 
         let b = layer
             .backward_sequence_ws(
@@ -1131,7 +1143,7 @@ mod tests {
                 &dys,
                 1.0,
                 None,
-                &kernel,
+                kernel,
                 &inst,
                 Some(&panels),
                 &mut ws,
@@ -1141,12 +1153,45 @@ mod tests {
         assert_eq!(b.grads.dw, ref_grads.dw);
         assert_eq!(b.grads.du, ref_grads.du);
         assert_eq!(b.grads.db, ref_grads.db);
+        for (t, (&got, &reference)) in b.magnitudes.iter().zip(&ref_magnitudes).enumerate() {
+            assert!(reference > 0.0, "cell {t} carries gradient");
+            assert!(
+                (got - reference).abs() <= 1e-12 * reference,
+                "cell {t}: magnitude {got:e} vs per-cell gradient {reference:e}"
+            );
+        }
 
         // And the panel-less, fresh-workspace run agrees with the
         // panelled one.
-        let b2 = bw(&layer, &xs, &tape, &dys, 1.0, &kernel, &inst);
+        let b2 = bw(&layer, &xs, &tape, &dys, 1.0, kernel, &inst);
         assert_eq!(b2.dxs, b.dxs);
         assert_eq!(b2.grads.dw, b.grads.dw);
+        assert_eq!(b2.magnitudes, b.magnitudes);
+        b.magnitudes
+    }
+
+    #[test]
+    fn sequence_paths_bit_identical_to_unfused_cell_loop() {
+        check_sequence_paths((5, 3, 6, 8), &ParallelConfig::with_threads(2));
+    }
+
+    /// The same contract where every cell GEMM clears `PACK_MIN_FLOPS`
+    /// (packed panels, and the SIMD tier when enabled), with the
+    /// row-parallel kernel path forced at 1, 2 and 8 threads — whose
+    /// magnitudes must not differ in a single bit.
+    #[test]
+    fn sequence_paths_bit_identical_to_unfused_cell_loop_mid_scale() {
+        let shape = (4, 16, 48, 64);
+        let run = |threads: usize| {
+            let mut kernel = ParallelConfig::with_threads(threads);
+            kernel.min_kernel_flops = 1;
+            check_sequence_paths(shape, &kernel)
+        };
+        let serial = run(1);
+        for threads in [2usize, 8] {
+            let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&run(threads)), bits(&serial), "{threads} threads");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!    gate-gradient matrices. The [`Workspace`] arena owns those
 //!    buffers once; `ensure_*` re-shapes them only when the batch or
 //!    hidden width actually changes, so after the first timestep the
-//!    step loop allocates only what the tape must own.
+//!    step loop allocates what the tape must own and what each BP cell
+//!    hands onward (`δX_t`, `δH_{t−1}`, `δS_{t−1}`) — nothing the size
+//!    of a weight matrix (`tests/bptt_alloc.rs`).
 //! 2. **Per-GEMM weight packing** — the register-blocked kernels in
 //!    `eta_tensor` consume the right operand as packed column panels.
 //!    `W` and `U` change only at optimizer steps, yet the implicit
@@ -28,7 +30,7 @@
 
 use crate::cell::{CellForward, CellParams};
 use crate::model::LstmModel;
-use eta_tensor::{ConvStats, Matrix, PackedB, ParallelConfig};
+use eta_tensor::{ConvStats, Matrix, PackedB, ParallelConfig, TnScratch};
 
 /// Reallocates `slot` only when its shape differs from `[rows, cols]`.
 /// Contents after a call are unspecified (zeros on reallocation, stale
@@ -79,15 +81,23 @@ impl P1Buffers {
     }
 }
 
-/// Reusable buffers of the BP-EW-P2 stage: the accumulated state
-/// gradient and the fused `[batch, 4H]` gate-gradient block that feeds
-/// the BP-MatMul GEMMs.
+/// Reusable buffers of the BP-EW-P2 stage and the weight-gradient
+/// GEMMs it feeds: the accumulated state gradient, the fused
+/// `[batch, 4H]` gate-gradient block, and what forming one cell's
+/// `δW`/`δU`/`δb` needs before they are added to the layer's.
 #[derive(Debug, Clone, Default)]
 pub struct BwdBuffers {
     /// `δS' = δS + δH' ⊙ p_h`, `[batch, H]`.
     pub ds_acc: Matrix,
     /// `δgates` in the fixed `[i|f|c|o]` order, `[batch, 4H]`.
     pub dgates: Matrix,
+    /// The current cell's `δb` (column sums of `δgates`), `[4H]`: summed
+    /// here first and added to the layer's once, the association a
+    /// per-cell gradient had.
+    pub db: Vec<f32>,
+    /// Transposed `δgates`, the packed activation and the product row
+    /// block of the two weight-gradient GEMMs.
+    pub tn: TnScratch,
 }
 
 impl BwdBuffers {
@@ -98,7 +108,10 @@ impl BwdBuffers {
     }
 
     fn bytes(&self) -> u64 {
-        self.ds_acc.size_bytes() + self.dgates.size_bytes()
+        self.ds_acc.size_bytes()
+            + self.dgates.size_bytes()
+            + (self.db.len() * std::mem::size_of::<f32>()) as u64
+            + self.tn.size_bytes()
     }
 }
 
@@ -228,8 +241,8 @@ impl WorkspacePool {
 /// One layer's weights packed in every panel orientation training
 /// consumes: `from_nt` panels for the forward `x·Wᵀ` / `h·Uᵀ` GEMMs,
 /// `from_nn` panels for the backward `δgates·W` / `δgates·U` GEMMs.
-/// (The weight-*gradient* GEMMs pack their rhs fresh — it is an
-/// activation, different every timestep.)
+/// (The weight-*gradient* GEMMs repack their rhs at every timestep —
+/// it is an activation — into the [`BwdBuffers`] scratch.)
 #[derive(Debug, Clone)]
 pub struct LayerPanels {
     /// `W [4H, in]` packed for `x · Wᵀ`.

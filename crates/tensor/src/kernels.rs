@@ -174,6 +174,42 @@ pub(crate) fn store_tile_epilogue<const R: usize, F: Fn(usize, f32) -> f32>(
     }
 }
 
+/// `out += tile` over `[rows, n]` blocks while `row_abs[i]` takes
+/// `Σ|tile[i]|` — the landing sweep of the fused weight-gradient GEMM.
+/// A row keeps `NR` `f64` lanes, column `j` adds into lane `j % NR` in
+/// ascending `j`, and the lanes fold pairwise, so each row sum is one
+/// fixed `f64` expression of that row's values.
+pub(crate) fn add_abs_rows(out: &mut [f32], tile: &[f32], n: usize, row_abs: &mut [f64]) {
+    debug_assert_eq!(out.len(), tile.len());
+    debug_assert_eq!(out.len(), row_abs.len() * n);
+    for ((out_row, tile_row), abs) in out
+        .chunks_exact_mut(n)
+        .zip(tile.chunks_exact(n))
+        .zip(row_abs)
+    {
+        let mut lanes = [0.0f64; NR];
+        let mut o8 = out_row.chunks_exact_mut(NR);
+        let mut t8 = tile_row.chunks_exact(NR);
+        for (o, t) in o8.by_ref().zip(t8.by_ref()) {
+            for l in 0..NR {
+                o[l] += t[l];
+                lanes[l] += f64::from(t[l].abs());
+            }
+        }
+        for ((o, &v), lane) in o8
+            .into_remainder()
+            .iter_mut()
+            .zip(t8.remainder())
+            .zip(&mut lanes)
+        {
+            *o += v;
+            *lane += f64::from(v.abs());
+        }
+        let [a, b, c, d, e, f, g, h] = lanes;
+        *abs = ((a + e) + (b + f)) + ((c + g) + (d + h));
+    }
+}
+
 /// `out_rows ⟵ a_rows · Bᵀ` over packed panels (the `nt` orientation,
 /// no zero-skip). `a_rows` holds `rows` contiguous `[k]`-wide A rows
 /// and `out_rows` the matching `[pb.n()]`-wide output rows, so the

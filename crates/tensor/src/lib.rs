@@ -47,7 +47,7 @@ mod error;
 pub use error::TensorError;
 pub use kernels::Store;
 pub use lowp::{ConvStats, Precision};
-pub use matrix::{Matrix, PACK_MIN_FLOPS};
+pub use matrix::{Matrix, TnScratch, PACK_MIN_FLOPS};
 pub use pack::PackedB;
 pub use parallel::ParallelConfig;
 pub use sparse::{CompressionStats, SparseVec};

@@ -62,6 +62,40 @@ fn row_block(a: &[f32], k: usize, row0: usize, rows: usize) -> &[f32] {
     &a[row0 * k..(row0 + rows) * k]
 }
 
+/// Elements of one product row block of
+/// [`Matrix::matmul_tn_acc_abs_into`]: 128 KiB of `f32`, so a block,
+/// the `out` rows it is added to and the packed panels share L2.
+const TILE_ELEMS: usize = 32 * 1024;
+
+/// Row blocks are whole register tiles of both tiers (6 rows SIMD, 4
+/// scalar), so only the last block of a product sees 1-row edge tiles.
+const TILE_ROW_STEP: usize = 12;
+
+/// Caller-owned scratch of [`Matrix::matmul_tn_acc_abs_into`]: what the
+/// packed `tn` product would otherwise allocate per call. Buffers size
+/// themselves from the operands of the last call and are reused while
+/// the shapes repeat.
+#[derive(Debug, Clone, Default)]
+pub struct TnScratch {
+    /// Blocked transpose of A, `[m, k]` (SIMD tier only).
+    at: Vec<f32>,
+    /// `rhs` as packed `nn` panels.
+    pb: PackedB,
+    /// One product row block per worker.
+    tile: Vec<f32>,
+    /// `Σ|product|` of each output row.
+    row_abs: Vec<f64>,
+}
+
+impl TnScratch {
+    /// Bytes currently held.
+    pub fn size_bytes(&self) -> u64 {
+        let f32s = self.at.len() + self.tile.len();
+        (f32s * std::mem::size_of::<f32>() + self.row_abs.len() * std::mem::size_of::<f64>()) as u64
+            + self.pb.size_bytes()
+    }
+}
+
 /// A dense row-major `f32` matrix.
 ///
 /// # Example
@@ -207,27 +241,38 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns the transposed matrix. Cache-blocked (32×32 tiles so both
-    /// the source rows and destination rows of a tile fit in L1
-    /// together): the SIMD `tn` path transposes A once so the streaming
-    /// row kernel can read it contiguously instead of striding down
-    /// columns — O(r·c) copies next to the O(r·c·n) GEMM that follows.
+    /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
+        let mut data = Vec::new();
+        self.transpose_into(&mut data);
+        Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            data,
+        }
+    }
+
+    /// Writes the transpose into `out` (resized to fit, every element
+    /// overwritten). Cache-blocked (32×32 tiles so both the source rows
+    /// and destination rows of a tile fit in L1 together): the SIMD
+    /// `tn` path transposes A once so the streaming row kernel can read
+    /// it contiguously instead of striding down columns — O(r·c) copies
+    /// next to the O(r·c·n) GEMM that follows.
+    fn transpose_into(&self, out: &mut Vec<f32>) {
         const TB: usize = 32;
         let (r, c) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(c, r);
+        out.resize(r * c, 0.0);
         for i0 in (0..r).step_by(TB) {
             let ih = TB.min(r - i0);
             for j0 in (0..c).step_by(TB) {
                 let jw = TB.min(c - j0);
                 for i in i0..i0 + ih {
                     for j in j0..j0 + jw {
-                        out.data[j * r + i] = self.data[i * c + j];
+                        out[j * r + i] = self.data[i * c + j];
                     }
                 }
             }
         }
-        out
     }
 
     /// `self · rhs` with both operands untransposed:
@@ -414,7 +459,9 @@ impl Matrix {
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         if self.rows == rhs.rows && m * k * n >= PACK_MIN_FLOPS {
             let mut out = Matrix::zeros(m, n);
-            self.tn_packed(rhs, &mut out.data, Store::Assign, &ParallelConfig::serial());
+            let (mut at, mut pb) = (Vec::new(), PackedB::default());
+            let simd = self.tn_prepare(rhs, &ParallelConfig::serial(), &mut at, &mut pb);
+            self.tn_product(simd, &at, &pb, 0, m, &mut out.data);
             return Ok(out);
         }
         self.matmul_tn_naive(rhs)
@@ -436,8 +483,15 @@ impl Matrix {
                 rhs: (rhs.rows, rhs.cols),
             });
         }
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        self.tn_naive_acc(rhs, &mut out.data);
+        Ok(out)
+    }
+
+    /// The naive `tn` loop, accumulating onto `out` (`[m, n]`, zeroed by
+    /// the caller for a plain product); shapes are already checked.
+    fn tn_naive_acc(&self, rhs: &Matrix, out: &mut [f32]) {
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = Matrix::zeros(m, n);
         for p in 0..k {
             let a_row = &self.data[p * m..(p + 1) * m];
             let b_row = &rhs.data[p * n..(p + 1) * n];
@@ -445,21 +499,19 @@ impl Matrix {
                 if a == 0.0 {
                     continue;
                 }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
+                let out_row = &mut out[i * n..(i + 1) * n];
                 for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
                     *o += a * b;
                 }
             }
         }
-        Ok(out)
     }
 
-    /// In-place accumulating `out += selfᵀ · rhs` — the weight-gradient
-    /// hot path (`dW += δᵀ · x` at every timestep). The rhs changes
-    /// every timestep so it is packed fresh here when large enough;
-    /// small products run the naive loop into a temporary. Both paths
-    /// are bit-identical to `matmul_tn` followed by
-    /// [`Matrix::add_assign`].
+    /// In-place accumulating `out += selfᵀ · rhs`:
+    /// [`Matrix::matmul_tn_acc_abs_into`] with a scratch of its own and
+    /// the magnitude dropped, so it is bit-identical to `matmul_tn`
+    /// followed by [`Matrix::add_assign`]. A caller that runs it per
+    /// timestep should hold a [`TnScratch`] and call the fused entry.
     ///
     /// # Errors
     ///
@@ -471,79 +523,205 @@ impl Matrix {
         out: &mut Matrix,
         cfg: &ParallelConfig,
     ) -> Result<()> {
+        self.matmul_tn_acc_abs_into(rhs, out, &mut TnScratch::default(), cfg)
+            .map(drop)
+    }
+
+    /// In-place `out += selfᵀ · rhs` that also returns `Σ|selfᵀ · rhs|`
+    /// — the weight gradient of one BPTT cell (`δW += δgatesᵀ · x`,
+    /// Eq. 3) and that cell's Fig. 8 magnitude, from one pass over
+    /// `out`. The paper's accelerator sums the per-cell outer products
+    /// in a streaming accumulator so they never exist as tensors; here
+    /// the product is formed one cache-sized row block at a time in
+    /// `scratch` and each block is added to `out` while it is still
+    /// cached.
+    ///
+    /// A block holds the **complete** product — every reduction chunk —
+    /// before it is added, so `out` is bit-identical to `matmul_tn`
+    /// followed by [`Matrix::add_assign`] at any reduction depth. The
+    /// returned sum takes `|v|` into eight `f64` lanes per output row
+    /// (lane `j % 8`), folds the lanes pairwise and adds the rows in
+    /// ascending order: a function of the operands only, whatever
+    /// `cfg`'s thread count and however the rows were cut. It agrees
+    /// with [`Matrix::abs_sum`] of the product to rounding (the
+    /// association differs), not bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `self.rows != rhs.rows`
+    /// or `out` is not `[self.cols, rhs.cols]`.
+    pub fn matmul_tn_acc_abs_into(
+        &self,
+        rhs: &Matrix,
+        out: &mut Matrix,
+        scratch: &mut TnScratch,
+        cfg: &ParallelConfig,
+    ) -> Result<f64> {
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         if self.rows != rhs.rows || out.rows != m || out.cols != n {
             return Err(TensorError::ShapeMismatch {
-                op: "matmul_tn_acc_into",
+                op: "matmul_tn_acc_abs_into",
                 lhs: (self.rows, self.cols),
                 rhs: (rhs.rows, rhs.cols),
             });
         }
-        if m * k * n < PACK_MIN_FLOPS {
-            return out.add_assign(&self.matmul_tn_naive(rhs)?);
+        if m * n == 0 {
+            return Ok(0.0);
         }
-        self.tn_packed(rhs, &mut out.data, Store::Add, cfg);
-        Ok(())
+        let TnScratch {
+            at,
+            pb,
+            tile,
+            row_abs,
+        } = scratch;
+        row_abs.resize(m, 0.0);
+        if m * k * n < PACK_MIN_FLOPS {
+            tile.clear();
+            tile.resize(m * n, 0.0);
+            self.tn_naive_acc(rhs, tile);
+            kernels::add_abs_rows(&mut out.data, tile, n, row_abs);
+        } else {
+            let rows_per = Self::rows_per_worker((m, k, n), cfg);
+            let tile_rows = (TILE_ELEMS / n / TILE_ROW_STEP).max(1) * TILE_ROW_STEP;
+            let tile_rows = tile_rows.min(rows_per);
+            tile.resize(m.div_ceil(rows_per) * tile_rows * n, 0.0);
+            let simd = self.tn_prepare(rhs, cfg, at, pb);
+            let (at, pb) = (&*at, &*pb);
+            let sides = tile
+                .chunks_mut(tile_rows * n)
+                .zip(row_abs.chunks_mut(rows_per));
+            Self::dispatch_rows_with(
+                &mut out.data,
+                (m, k, n),
+                cfg,
+                sides,
+                |_, row0, _, chunk, (tile, abs)| {
+                    let blocks = chunk
+                        .chunks_mut(tile_rows * n)
+                        .zip(abs.chunks_mut(tile_rows));
+                    for (b, (out_rows, abs)) in blocks.enumerate() {
+                        let tile = &mut tile[..out_rows.len()];
+                        self.tn_product(simd, at, pb, row0 + b * tile_rows, abs.len(), tile);
+                        kernels::add_abs_rows(out_rows, tile, n, abs);
+                    }
+                },
+            );
+        }
+        Ok(row_abs.iter().sum())
     }
 
-    /// The packed `tn` body behind [`Matrix::matmul_tn`] and
-    /// [`Matrix::matmul_tn_acc_into`]; shapes are already checked.
-    fn tn_packed(&self, rhs: &Matrix, out: &mut [f32], store: Store, cfg: &ParallelConfig) {
-        let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        let pb = PackedB::from_nn_par(rhs, cfg);
-        // The scalar `tn` kernel strides down A columns (stride `m`
-        // floats per reduction step), which is the pathology behind its
-        // 1.3x-over-naive plateau. The SIMD tier gives `tn` its own
-        // layout instead: a blocked transpose of A into row-major
-        // `[m, k]`, after which the streaming row kernel (contiguous A
-        // reads, L1-resident panel slices) serves it exactly like `nn`.
-        // The transpose is shared by all workers; each consumes a
-        // disjoint row slice, so parallel results stay bitwise equal to
-        // serial.
-        let at = crate::simd::use_simd(m, k, n).then(|| self.transpose());
-        let a = &self.data;
-        Self::dispatch_rows(out, (m, k, n), cfg, |_, row0, rows, chunk| match &at {
-            Some(at) => {
-                let a_rows = row_block(&at.data, k, row0, rows);
-                crate::simd::gemm_rows_nn(a_rows, rows, k, &pb, chunk, store);
-            }
-            None => kernels::gemm_tn_rows(a, m, k, row0, rows, &pb, chunk, store),
+    /// Packs `rhs` into `pb` for the `tn` row kernel and returns whether
+    /// the product runs on the SIMD tier. Shapes are already checked.
+    ///
+    /// The scalar `tn` kernel strides down A columns (stride `m` floats
+    /// per reduction step), which is the pathology behind its
+    /// 1.3x-over-naive plateau. The SIMD tier gives `tn` its own layout
+    /// instead: a blocked transpose of A into `at`, row-major `[m, k]`,
+    /// after which the streaming row kernel (contiguous A reads,
+    /// L1-resident panel slices) serves it exactly like `nn`. The
+    /// transpose is shared by all workers; each consumes a disjoint row
+    /// slice, so parallel results stay bitwise equal to serial.
+    fn tn_prepare(
+        &self,
+        rhs: &Matrix,
+        cfg: &ParallelConfig,
+        at: &mut Vec<f32>,
+        pb: &mut PackedB,
+    ) -> bool {
+        pb.repack_nn_par(rhs, cfg);
+        let simd = crate::simd::use_simd(self.cols, self.rows, rhs.cols);
+        if simd {
+            self.transpose_into(at);
+        }
+        simd
+    }
+
+    /// Assigns rows `[row0, row0 + rows)` of `selfᵀ · rhs` to `dst`
+    /// from the operands [`Matrix::tn_prepare`] laid out.
+    fn tn_product(
+        &self,
+        simd: bool,
+        at: &[f32],
+        pb: &PackedB,
+        row0: usize,
+        rows: usize,
+        dst: &mut [f32],
+    ) {
+        let (k, m) = (self.rows, self.cols);
+        if simd {
+            let a_rows = row_block(at, k, row0, rows);
+            crate::simd::gemm_rows_nn(a_rows, rows, k, pb, dst, Store::Assign);
+        } else {
+            kernels::gemm_tn_rows(&self.data, m, k, row0, rows, pb, dst, Store::Assign);
+        }
+    }
+
+    /// Rows each worker of [`Matrix::dispatch_rows`] takes: all `m` when
+    /// the product runs serially under `cfg`, otherwise an even cut —
+    /// clamping the worker count to the machine keeps the shim's
+    /// thread-per-spawn model honest.
+    fn rows_per_worker((m, k, n): (usize, usize, usize), cfg: &ParallelConfig) -> usize {
+        if !cfg.should_parallelize(m, k, n, m) {
+            return m;
+        }
+        let threads = cfg.threads.min(rayon::current_num_threads()).max(1);
+        let rows_per = m.div_ceil(threads).max(1);
+        debug_assert!(rows_per.saturating_mul(threads) >= m);
+        rows_per
+    }
+
+    /// [`Matrix::dispatch_rows_with`] for a kernel that needs no
+    /// per-worker scratch.
+    fn dispatch_rows<K>(
+        out: &mut [f32],
+        shape: (usize, usize, usize),
+        cfg: &ParallelConfig,
+        kernel: K,
+    ) where
+        K: Fn(bool, usize, usize, &mut [f32]) + Sync,
+    {
+        let sides = std::iter::repeat(());
+        Self::dispatch_rows_with(out, shape, cfg, sides, |simd, row0, rows, chunk, ()| {
+            kernel(simd, row0, rows, chunk)
         });
     }
 
     /// The one GEMM dispatch sequence. The kernel family is fixed from
     /// the FULL logical `[m, k] · [k, n]` shape before any row
     /// partitioning, so every worker (and the serial sweep) lands on
-    /// the same family; then `kernel(simd, row0, rows, out_rows)` runs
-    /// once over the whole `[m, n]` output, or — when `cfg` allows — on
-    /// one disjoint row block per worker in a scoped thread. Blocks are
-    /// a deterministic function of `(m, threads)` and each is produced
-    /// by the same serial kernel sweep it would see single-threaded, so
-    /// the partitioning never changes results.
-    fn dispatch_rows<K>(
+    /// the same family; then `kernel(simd, row0, rows, out_rows, side)`
+    /// runs once over the whole `[m, n]` output, or — when `cfg` allows
+    /// — on one disjoint block of [`Matrix::rows_per_worker`] rows per
+    /// worker in a scoped thread. `sides` yields each block's private
+    /// scratch, in block order. Blocks are a deterministic function of
+    /// `(m, threads)` and each is produced by the same serial kernel
+    /// sweep it would see single-threaded, so the partitioning never
+    /// changes results.
+    fn dispatch_rows_with<S, K>(
         out: &mut [f32],
         (m, k, n): (usize, usize, usize),
         cfg: &ParallelConfig,
+        mut sides: impl Iterator<Item = S> + Send,
         kernel: K,
     ) where
-        K: Fn(bool, usize, usize, &mut [f32]) + Sync,
+        S: Send,
+        K: Fn(bool, usize, usize, &mut [f32], S) + Sync,
     {
         let simd = crate::simd::use_simd(m, k, n);
-        if !cfg.should_parallelize(m, k, n, m) {
-            return kernel(simd, 0, m, out);
+        let rows_per = Self::rows_per_worker((m, k, n), cfg);
+        if rows_per >= m {
+            if let Some(side) = sides.next() {
+                kernel(simd, 0, m, out, side);
+            }
+            return;
         }
-        // One spawn per row block; clamping the block count to the
-        // machine keeps the shim's thread-per-spawn model honest.
-        let threads = cfg.threads.min(rayon::current_num_threads()).max(1);
-        let rows_per = m.div_ceil(threads).max(1);
-        debug_assert!(rows_per.saturating_mul(threads) >= m);
         let kernel = &kernel;
         rayon::scope(|scope| {
-            for (chunk_idx, chunk) in out.chunks_mut(rows_per * n).enumerate() {
+            for (chunk_idx, (chunk, side)) in out.chunks_mut(rows_per * n).zip(sides).enumerate() {
                 let row0 = chunk_idx * rows_per;
                 scope.spawn(move |_| {
                     let rows = chunk.len() / n.max(1);
-                    kernel(simd, row0, rows, chunk);
+                    kernel(simd, row0, rows, chunk, side);
                 });
             }
         });

@@ -30,7 +30,7 @@ pub const NR: usize = 8;
 /// - [`PackedB::from_nt`] packs a `[n, k]` matrix used as the rhs of
 ///   `matmul_nt` (which consumes `B[j][p]`) — packing performs the
 ///   transpose, so the kernels are orientation-agnostic afterwards.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedB {
     /// Logical reduction depth `k`.
     k: usize,
@@ -92,13 +92,24 @@ impl PackedB {
     /// the serial pack at any thread count — packing parallelism, like
     /// kernel parallelism, is a latency knob only.
     pub fn from_nn_par(b: &Matrix, cfg: &ParallelConfig) -> Self {
-        Self::pack_par(b.rows(), b.cols(), b.as_slice(), cfg, fill_nn_panel)
+        let mut pb = PackedB::default();
+        pb.repack_nn_par(b, cfg);
+        pb
+    }
+
+    /// [`PackedB::from_nn_par`] into this buffer: the `tn` weight-gradient
+    /// GEMM packs a different activation at every timestep, so its
+    /// caller keeps one `PackedB` and refills it.
+    pub(crate) fn repack_nn_par(&mut self, b: &Matrix, cfg: &ParallelConfig) {
+        self.pack_par(b.rows(), b.cols(), b.as_slice(), cfg, fill_nn_panel);
     }
 
     /// [`PackedB::from_nt`] with parallel panel filling (transposed
     /// source); bit-identical to the serial pack.
     pub fn from_nt_par(b: &Matrix, cfg: &ParallelConfig) -> Self {
-        Self::pack_par(b.cols(), b.rows(), b.as_slice(), cfg, fill_nt_panel)
+        let mut pb = PackedB::default();
+        pb.pack_par(b.cols(), b.rows(), b.as_slice(), cfg, fill_nt_panel);
+        pb
     }
 
     /// The one packing body: splits the panel-major buffer into one
@@ -107,15 +118,23 @@ impl PackedB {
     /// cannot feed every worker, or the copy volume (`k * n` values)
     /// is below the kernel-flops threshold — a pack moves one byte per
     /// value, so small packs lose more to spawn latency than they gain.
+    /// The fills never touch the edge panel's padding lanes, so the
+    /// buffer is re-zeroed only when the shape changes.
     fn pack_par(
+        &mut self,
         k: usize,
         n: usize,
         src: &[f32],
         cfg: &ParallelConfig,
         fill: fn(&mut [f32], &[f32], usize, usize, usize),
-    ) -> Self {
+    ) {
         let panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; panels * k * NR];
+        if (self.k, self.n) != (k, n) {
+            self.data.clear();
+            self.data.resize(panels * k * NR, 0.0);
+            (self.k, self.n) = (k, n);
+        }
+        let data = &mut self.data;
         if k > 0 {
             let stride = k * NR;
             if cfg.threads > 1 && panels >= cfg.threads && k * n >= cfg.min_kernel_flops {
@@ -144,7 +163,6 @@ impl PackedB {
                 }
             }
         }
-        PackedB { k, n, data }
     }
 
     /// Logical reduction depth `k`.

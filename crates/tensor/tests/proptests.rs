@@ -1,6 +1,8 @@
 //! Property-based tests for the tensor substrate.
 
-use eta_tensor::{activation, kernels, Matrix, PackedB, ParallelConfig, SparseVec, Store};
+use eta_tensor::{
+    activation, kernels, simd, Matrix, PackedB, ParallelConfig, SparseVec, Store, TnScratch,
+};
 use proptest::prelude::*;
 
 /// `a · b` through the packed `nn` entry (always the tiled kernel).
@@ -52,6 +54,108 @@ fn seasoned(rows: usize, cols: usize, seed: u64) -> Matrix {
         }
     }
     m
+}
+
+/// The fused weight-gradient entry at one shape (`a` is `[k, m]`, `b`
+/// is `[k, n]`), against product-then-`add_assign`-then-`abs_sum`:
+///
+/// - `out` is **bitwise** `base + a.matmul_tn(b)` on either tier, and
+///   that product is bitwise the naive one on the scalar tier, within
+///   the `tests/simd_equivalence.rs` budget (8 ULP, or the `2k·ε·|A|ᵀ|B|`
+///   floor for cancelling sums) under SIMD;
+/// - the returned sum is within 1e-12 relative of the product's
+///   `abs_sum`;
+/// - both have the same bits at 1, 2 and 8 forced kernel threads, and
+///   with a scratch that last served another shape.
+fn check_fused_tn(m: usize, k: usize, n: usize, seed: u64) {
+    let a = seasoned(k, m, seed);
+    let b = seasoned(k, n, seed.wrapping_add(1));
+    let base = seasoned(m, n, seed.wrapping_add(2));
+    let label = format!("[{k},{m}]ᵀ·[{k},{n}]");
+
+    let product = a.matmul_tn(&b).unwrap();
+    let naive = a.matmul_tn_naive(&b).unwrap();
+    if simd::use_simd(m, k, n) {
+        let absref = a.map(f32::abs).matmul_tn_naive(&b.map(f32::abs)).unwrap();
+        let tol = 2.0 * k as f32 * f32::EPSILON;
+        for ((&g, &r), &ab) in product
+            .as_slice()
+            .iter()
+            .zip(naive.as_slice())
+            .zip(absref.as_slice())
+        {
+            let ulp_ok = g == r
+                || (g.is_sign_positive() == r.is_sign_positive()
+                    && g.to_bits().abs_diff(r.to_bits()) <= 8);
+            assert!(
+                ulp_ok || (g - r).abs() <= tol * ab,
+                "{label}: {g:e} vs {r:e}"
+            );
+        }
+    } else {
+        assert_eq!(
+            product, naive,
+            "{label}: scalar tier is bitwise the naive loop"
+        );
+    }
+    let mut expected = base.clone();
+    expected.add_assign(&product).unwrap();
+    let expected_sum = product.abs_sum();
+
+    let fused = |threads: usize, scratch: &mut TnScratch| {
+        let mut cfg = ParallelConfig::with_threads(threads);
+        cfg.min_kernel_flops = 1;
+        let mut out = base.clone();
+        let sum = a
+            .matmul_tn_acc_abs_into(&b, &mut out, scratch, &cfg)
+            .unwrap();
+        (out, sum)
+    };
+    let (out, sum) = fused(1, &mut TnScratch::default());
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out), bits(&expected), "{label}: out");
+    assert!(
+        (sum - expected_sum).abs() <= 1e-12 * expected_sum,
+        "{label}: sum {sum:e} vs abs_sum {expected_sum:e}"
+    );
+
+    // A scratch that last served a larger and then a smaller product.
+    let mut used = TnScratch::default();
+    for (dm, dn) in [(m + 7, n + 9), (m / 2 + 1, n / 2 + 1)] {
+        let other = seasoned(k, dm, seed.wrapping_add(3));
+        let rhs = seasoned(k, dn, seed.wrapping_add(4));
+        other
+            .matmul_tn_acc_abs_into(
+                &rhs,
+                &mut Matrix::zeros(dm, dn),
+                &mut used,
+                &ParallelConfig::serial(),
+            )
+            .unwrap();
+    }
+    for threads in [1usize, 2, 8] {
+        for scratch in [&mut TnScratch::default(), &mut used] {
+            let (out_t, sum_t) = fused(threads, scratch);
+            assert_eq!(
+                bits(&out_t),
+                bits(&out),
+                "{label}: out at {threads} threads"
+            );
+            assert_eq!(
+                sum_t.to_bits(),
+                sum.to_bits(),
+                "{label}: sum at {threads} threads"
+            );
+        }
+    }
+}
+
+/// Shapes whose product spans several row blocks of the fused entry's
+/// scratch, per worker, at a single-chunk and a chunk-crossing depth.
+#[test]
+fn fused_tn_acc_abs_spans_several_row_blocks() {
+    check_fused_tn(200, 24, 600, 5);
+    check_fused_tn(131, 300, 520, 6);
 }
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -227,6 +331,21 @@ proptest! {
         a_tn.matmul_tn_acc_into(&rhs, &mut dw, &cfg).unwrap();
         dw_ref.add_assign(&a_tn.matmul_tn_naive(&rhs).unwrap()).unwrap();
         prop_assert_eq!(&dw, &dw_ref);
+    }
+
+    /// The fused weight-gradient entry over every edge the tiers have:
+    /// `m` across the 6- and 4-row register tiles, `n` across the 16-
+    /// and 8-lane panels, depths inside one `KC` chunk and crossing it
+    /// off a multiple, products below and above `PACK_MIN_FLOPS`, onto
+    /// a non-zero `out`.
+    #[test]
+    fn fused_tn_acc_abs_matches_product_add_abs_sum(
+        (m, n) in (1usize..48, 1usize..48),
+        (deep, k) in (proptest::bool::ANY, 1usize..48),
+        seed in 3000u64..4000
+    ) {
+        let k = if deep { simd::KC + 1 + 7 * k } else { k };
+        check_fused_tn(m, k, n, seed);
     }
 
     #[test]

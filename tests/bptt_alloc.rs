@@ -1,0 +1,144 @@
+//! BPTT never materialises a weight-sized tensor per cell.
+//!
+//! The paper's accelerator sums the per-cell outer products of Eq. 3 in
+//! a streaming accumulator; the software analogue is that a backward
+//! sweep adds every cell's `δW`/`δU` straight into the layer's gradient.
+//! This file pins it from outside the libraries, with a counting global
+//! allocator of its own: once the workspace is warm, the only
+//! allocations as large as `δW` in a whole `backward_sequence_ws` sweep
+//! are the two matrices of the returned gradient. (eta-lint's H1 rule
+//! exempts the sequence drivers' bodies, which is where a per-cell
+//! `CellGrads::zeros_like` once hid.)
+
+use eta_lstm::core::layer::{Instruments, LstmLayer, StorageMode};
+use eta_lstm::core::workspace::{LayerPanels, Workspace};
+use eta_lstm::tensor::{init, Matrix, ParallelConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Allocations of at least this many bytes are counted; `usize::MAX`
+/// (nothing can be that large) while disarmed.
+static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
+static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// Forwards to [`System`] and counts the large requests.
+struct CountLarge;
+
+fn note(size: usize) {
+    // Relaxed: a statistic read after the sweep's threads have joined.
+    if size >= THRESHOLD.load(Ordering::Relaxed) {
+        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters never touch
+// the returned memory.
+unsafe impl GlobalAlloc for CountLarge {
+    // SAFETY: the caller vouches for `layout`; it goes to `System` as is.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller vouches for `layout`; it goes to `System` as is.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: the caller passes a `ptr` this allocator (hence `System`)
+    // returned for `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`, per the
+        // caller's contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: the caller passes a `ptr` this allocator returned for
+    // `layout` and a `new_size` valid for `layout.align()`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr`/`layout`/`new_size` as the caller vouched.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountLarge = CountLarge;
+
+/// The one test of this binary, so nothing else allocates while the
+/// counter is armed.
+#[test]
+fn backward_sweep_allocates_nothing_weight_sized_but_the_returned_gradient() {
+    // input < hidden: δW `[4H, in]` is the smaller of the two weight
+    // gradients, and the two GEMMs of a cell differ in shape, so the
+    // shared scratch is re-shaped twice per cell.
+    let (seq, batch, input, hidden) = (6usize, 8usize, 96usize, 128usize);
+    let dw_bytes = 4 * hidden * input * std::mem::size_of::<f32>();
+    let layer = LstmLayer::new(input, hidden, 3);
+    let xs: Vec<Matrix> = (0..seq)
+        .map(|t| init::uniform(batch, input, -1.0, 1.0, 50 + t as u64))
+        .collect();
+    let dys: Vec<Matrix> = (0..seq)
+        .map(|t| init::uniform(batch, hidden, -0.1, 0.1, 70 + t as u64))
+        .collect();
+    let inst = Instruments::new();
+
+    let mut forced = ParallelConfig::with_threads(2);
+    forced.min_kernel_flops = 1;
+    for kernel in [ParallelConfig::serial(), forced] {
+        let panels = LayerPanels::pack_with(&layer.params, &kernel);
+        let mut ws = Workspace::new();
+        // One tape per sweep: the instruments release a tape's stored
+        // bytes when its backward consumes it.
+        let forward = |ws: &mut Workspace| {
+            layer
+                .forward_sequence_ws(
+                    &xs,
+                    StorageMode::Dense,
+                    &[],
+                    None,
+                    &kernel,
+                    &inst,
+                    Some(&panels),
+                    ws,
+                )
+                .expect("forward")
+        };
+        let sweep = |tape, ws: &mut Workspace| {
+            layer
+                .backward_sequence_ws(
+                    &xs,
+                    tape,
+                    &dys,
+                    1.0,
+                    None,
+                    &kernel,
+                    &inst,
+                    Some(&panels),
+                    ws,
+                )
+                .expect("backward")
+        };
+        let (warm_tape, tape) = (forward(&mut ws), forward(&mut ws));
+        let warm = sweep(&warm_tape, &mut ws);
+
+        LARGE_ALLOCS.store(0, Ordering::Relaxed);
+        THRESHOLD.store(dw_bytes, Ordering::Relaxed);
+        let back = sweep(&tape, &mut ws);
+        THRESHOLD.store(usize::MAX, Ordering::Relaxed);
+
+        assert_eq!(
+            LARGE_ALLOCS.load(Ordering::Relaxed),
+            2,
+            "{} kernel thread(s): allocations of >= {dw_bytes} B (the size of dW) in one \
+             backward sweep, beyond the returned gradient's dw and du",
+            kernel.threads
+        );
+        assert_eq!(back.grads, warm.grads, "a warm workspace changes no bit");
+        assert!(back.magnitudes.iter().all(|&m| m > 0.0));
+    }
+}
