@@ -589,13 +589,16 @@ pub fn forward_ws(
 /// Backward pass of one cell against pre-packed weight panels and
 /// reused [`BwdBuffers`]: the accumulated state gradient and the
 /// `[batch, 4H]` gate-gradient block are written in place (no `clone`,
-/// no `hcat`), and the cell's weight gradients are added straight into
-/// `grads` — the layer's accumulator — by the fused `tn` GEMM, which
-/// also yields the second return value: this cell's gradient magnitude
-/// `Σ|δW_t| + Σ|δU_t|` (paper Fig. 8). The only allocations left are
-/// the three returned matrices. `grads` is bit-identical to
-/// [`backward`]'s on the scalar tier; the magnitude matches
-/// [`CellGrads::magnitude`] of a per-cell gradient to rounding.
+/// no `hcat`), the cell's `δb` is summed and added to `db` (the
+/// layer's), and its `δW`/`δU` operands are pushed onto the
+/// weight-gradient accumulator `bwd.tn` — they reach the layer's
+/// gradient when the caller runs [`flush_weight_grads`], after this
+/// cell or after a chunk of them (the caller sizes the chunk with
+/// [`eta_tensor::TnScratch::reset`]). With `need_dx` off the `δX_t`
+/// GEMM is skipped and `dx` comes back empty (`0 × 0`): nothing reads
+/// the input gradient of the bottom layer. The only allocations left
+/// are the returned matrices. Flushed after every cell, the gradient is
+/// bit-identical to [`backward`]'s on the scalar tier.
 ///
 /// # Errors
 ///
@@ -608,11 +611,12 @@ pub fn backward_ws(
     h_prev: &Matrix,
     dh_total: &Matrix,
     ds: &Matrix,
-    grads: &mut CellGrads,
+    db: &mut [f32],
+    need_dx: bool,
     kernel: &ParallelConfig,
     bwd: &mut BwdBuffers,
     instruments: &crate::layer::Instruments,
-) -> Result<(CellBackwardOut, f64)> {
+) -> Result<CellBackwardOut> {
     let (batch, h) = (dh_total.rows(), dh_total.cols());
     for m in [p1.p_i, p1.p_f, p1.p_c, p1.p_o, p1.p_h, p1.p_s, ds] {
         if m.rows() != batch || m.cols() != h {
@@ -629,7 +633,7 @@ pub fn backward_ws(
     let BwdBuffers {
         ds_acc,
         dgates,
-        db,
+        db: cell_db,
         tn,
     } = bwd;
 
@@ -686,36 +690,62 @@ pub fn backward_ws(
         "bp_gemm",
         dgates.rows(),
         dgates.cols(),
-        panels.w_bwd.n(),
+        panels.u_bwd.n(),
     ));
     // BP-MatMul (Eq. 2) over the cached backward panels.
-    let dx = dgates.par_matmul_nn_packed(&panels.w_bwd, kernel)?;
+    let dx = if need_dx {
+        dgates.par_matmul_nn_packed(&panels.w_bwd, kernel)?
+    } else {
+        Matrix::zeros(0, 0)
+    };
     let dh_prev = dgates.par_matmul_nn_packed(&panels.u_bwd, kernel)?;
 
-    // BP-MatMul (Eq. 3): each product is added to the layer's gradient
-    // as it is formed and leaves only its magnitude behind.
-    let magnitude = dgates.matmul_tn_acc_abs_into(x, &mut grads.dw, tn, kernel)?
-        + dgates.matmul_tn_acc_abs_into(h_prev, &mut grads.du, tn, kernel)?;
-    db.clear();
-    db.resize(4 * h, 0.0);
+    // BP-MatMul (Eq. 3): the operands join the pending chunk; δb is
+    // summed for this cell, then added.
+    tn.push(dgates, &[x, h_prev])?;
+    cell_db.clear();
+    cell_db.resize(4 * h, 0.0);
     for row in dgates.as_slice().chunks_exact(4 * h) {
-        for (acc, &g) in db.iter_mut().zip(row.iter()) {
+        for (acc, &g) in cell_db.iter_mut().zip(row.iter()) {
             *acc += g;
         }
     }
-    for (acc, &g) in grads.db.iter_mut().zip(db.iter()) {
+    for (acc, &g) in db.iter_mut().zip(cell_db.iter()) {
         *acc += g;
     }
     drop(gemm_scope);
 
-    Ok((
-        CellBackwardOut {
-            dx,
-            dh_prev,
-            ds_prev,
-        },
-        magnitude,
-    ))
+    Ok(CellBackwardOut {
+        dx,
+        dh_prev,
+        ds_prev,
+    })
+}
+
+/// Adds the `δW`/`δU` of every cell [`backward_ws`] pushed since the
+/// last flush to `grads` — one fused `tn` GEMM per weight matrix, as
+/// deep as the chunk — and returns their magnitude `Σ|δW| + Σ|δU|`
+/// (paper Fig. 8; one cell's when flushed after every cell, matching
+/// [`CellGrads::magnitude`] of a per-cell gradient to rounding). A
+/// no-op returning `0` with nothing pending.
+///
+/// # Errors
+///
+/// Returns a shape error if `grads` does not match the pushed cells.
+pub fn flush_weight_grads(
+    bwd: &mut BwdBuffers,
+    grads: &mut CellGrads,
+    kernel: &ParallelConfig,
+    instruments: &crate::layer::Instruments,
+) -> Result<f64> {
+    let _scope = instruments.scope(gemm_label(
+        "bp_wgrad_simd",
+        "bp_wgrad",
+        grads.dw.rows(),
+        bwd.tn.pending(),
+        grads.dw.cols(),
+    ));
+    Ok(bwd.tn.flush(&mut [&mut grads.dw, &mut grads.du], kernel)?)
 }
 
 #[cfg(test)]
@@ -962,19 +992,21 @@ mod tests {
                 p_h: &ws.p1.p_h,
                 p_s: &reference.f,
             };
-            let (out_ws, magnitude) = backward_ws(
+            let out_ws = backward_ws(
                 &panels,
                 &p1_view,
                 &x,
                 &h_prev,
                 &dh,
                 &ds,
-                &mut g_ws,
+                &mut g_ws.db,
+                true,
                 &kernel,
                 &mut ws.bwd,
                 &inst,
             )
             .unwrap();
+            let magnitude = flush_weight_grads(&mut ws.bwd, &mut g_ws, &kernel, &inst).unwrap();
             assert_eq!(out_ws, out_ref);
             assert_eq!(g_ws, g_ref);
             // Onto zeros the accumulator *is* the cell's gradient.
@@ -983,19 +1015,21 @@ mod tests {
 
             // Same through the P1Dense::as_ref adaptor, with reused
             // backward buffers and pre-seeded gradient accumulators.
-            let (out_ws2, magnitude2) = backward_ws(
+            let out_ws2 = backward_ws(
                 &panels,
                 &p1.as_ref(),
                 &x,
                 &h_prev,
                 &dh,
                 &ds,
-                &mut g_ws,
+                &mut g_ws.db,
+                true,
                 &kernel,
                 &mut ws.bwd,
                 &inst,
             )
             .unwrap();
+            let magnitude2 = flush_weight_grads(&mut ws.bwd, &mut g_ws, &kernel, &inst).unwrap();
             assert_eq!(magnitude2.to_bits(), magnitude.to_bits());
             let mut g_ref2 = g_ref.clone();
             let out_ref2 = backward(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref2).unwrap();
@@ -1052,7 +1086,8 @@ mod tests {
             &h_prev,
             &dh,
             &bad_ds,
-            &mut grads,
+            &mut grads.db,
+            true,
             &kernel,
             &mut bwd,
             &inst,

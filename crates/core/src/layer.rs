@@ -31,7 +31,8 @@ use crate::ms3::{self, Ms3Config};
 use crate::workspace::{ensure_shape, LayerPanels, Workspace};
 use crate::{LstmError, Result};
 use eta_memsim::DataCategory;
-use eta_tensor::{CompressionStats, Matrix, ParallelConfig, Precision};
+use eta_tensor::simd::KC;
+use eta_tensor::{CompressionStats, Matrix, ParallelConfig, Precision, PACK_MIN_FLOPS};
 
 /// How the layer stores per-cell state during the forward pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,6 +95,11 @@ pub struct Instruments {
     /// Telemetry handle for span tracing; `None` leaves every span
     /// hook a no-op.
     pub telemetry: Option<eta_telemetry::Telemetry>,
+    /// Asks every backward sweep for per-cell gradient magnitudes
+    /// ([`LayerBackward::magnitudes`]), which holds the sweep to one
+    /// weight-gradient GEMM per cell. Off by default; the trainer turns
+    /// it on for the epoch that calibrates MS2.
+    pub per_cell_magnitudes: bool,
 }
 
 impl std::fmt::Debug for Instruments {
@@ -101,6 +107,7 @@ impl std::fmt::Debug for Instruments {
         let mut d = f.debug_struct("Instruments");
         d.field("mem", &self.mem).field("traffic", &self.traffic);
         d.field("telemetry", &self.telemetry.is_some());
+        d.field("per_cell_magnitudes", &self.per_cell_magnitudes);
         d.finish()
     }
 }
@@ -119,6 +126,7 @@ impl Instruments {
             mem: eta_memsim::SharedTracker::with_telemetry(telemetry.clone()),
             traffic: eta_memsim::SharedTraffic::with_telemetry(telemetry.clone()),
             telemetry: Some(telemetry),
+            per_cell_magnitudes: false,
         }
     }
 
@@ -173,7 +181,10 @@ pub struct LayerBackward {
     /// Accumulated (and MS2-scaled) weight gradients.
     pub grads: CellGrads,
     /// Per-cell raw gradient magnitudes (`0` for skipped cells) —
-    /// feeds Fig. 8 and the Eq. 4 α calibration.
+    /// feeds Fig. 8 and the Eq. 4 α calibration. Empty when the sweep
+    /// summed its weight gradients a chunk of cells at a time (see
+    /// [`LstmLayer::backward_sequence_ws`]): no per-cell product exists
+    /// then.
     pub magnitudes: Vec<f64>,
 }
 
@@ -414,13 +425,26 @@ impl LstmLayer {
     /// `kernel` controls GEMM-level parallelism inside each BP cell.
     ///
     /// The P1 products, the summed context gradient, the fused
-    /// gate-gradient block and the weight-gradient GEMMs' scratch all
-    /// live in the reusable [`Workspace`] instead of fresh per-timestep
-    /// allocations, each cell adds its `δW`/`δU`/`δb` straight into the
-    /// returned gradient (no cell-sized gradient is ever materialised),
-    /// and the BP GEMMs consume the packed `panels` (when `None` the
-    /// layer packs its weights once locally). Bit-identical on the
-    /// scalar tier to the reference cell pipeline.
+    /// gate-gradient block and the weight-gradient accumulator all live
+    /// in the reusable [`Workspace`] instead of fresh per-timestep
+    /// allocations, each cell adds its `δb` straight into the returned
+    /// gradient and pushes its `δW`/`δU` operands onto the accumulator
+    /// (no cell-sized gradient is ever materialised), and the BP GEMMs
+    /// consume the packed `panels` (when `None` the layer packs its
+    /// weights once locally).
+    ///
+    /// The accumulator is flushed every `c` kept cells and at the end
+    /// of the layer. `c = max(1, KC / batch)` — one fused `tn` GEMM per
+    /// weight matrix at the kernel's full reduction block instead of
+    /// `c` at depth `batch` — when the tape is dense f32 (no MS1, MS3
+    /// absent or a no-op), the per-cell products already run on the
+    /// packed tier (`4H · batch · min(in, H) ≥ PACK_MIN_FLOPS`) and
+    /// `instruments.per_cell_magnitudes` is off; otherwise `c = 1`.
+    /// At `c = 1` the sweep is bit-identical on the scalar tier to the
+    /// reference cell pipeline and `magnitudes` has one entry per cell;
+    /// at `c > 1` only the `δW`/`δU` summation order differs (inside
+    /// the kernel's reduction loop instead of per-cell adds) and
+    /// `magnitudes` is empty.
     ///
     /// With an MS3 config whose interval exceeds 1, [`TapeEntry::Dropped`]
     /// cells are recomputed lazily, one segment at a time, into the
@@ -451,6 +475,37 @@ impl LstmLayer {
         panels: Option<&LayerPanels>,
         ws: &mut Workspace,
     ) -> Result<LayerBackward> {
+        self.backward_sweep(
+            xs,
+            tape,
+            dys,
+            scale,
+            ms3,
+            kernel,
+            instruments,
+            panels,
+            ws,
+            true,
+        )
+    }
+
+    /// [`LstmLayer::backward_sequence_ws`] with the input gradient
+    /// optional: without `need_dx` no cell forms `δX_t` and `dxs` comes
+    /// back empty — the model's bottom layer, whose `dxs` nobody reads.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn backward_sweep(
+        &self,
+        xs: &[Matrix],
+        tape: &LayerTape,
+        dys: &[Matrix],
+        scale: f32,
+        ms3: Option<&Ms3Config>,
+        kernel: &ParallelConfig,
+        instruments: &Instruments,
+        panels: Option<&LayerPanels>,
+        ws: &mut Workspace,
+        need_dx: bool,
+    ) -> Result<LayerBackward> {
         let t_len = tape.entries.len();
         assert_eq!(xs.len(), t_len, "input/tape length mismatch");
         assert_eq!(dys.len(), t_len, "gradient/tape length mismatch");
@@ -472,10 +527,22 @@ impl LstmLayer {
         let precision = ms3.map_or(Precision::F32, |c| c.precision);
         let ms1_threshold = tape.ms1_threshold;
 
+        // Cells per weight-gradient flush (see the public entry's docs).
+        let packed_tier = 4 * h * batch * self.params.input().min(h) >= PACK_MIN_FLOPS;
+        let dense_f32 = ms1_threshold.is_none() && ms3.is_none_or(Ms3Config::is_noop);
+        let chunk_cells = if packed_tier && dense_f32 && !instruments.per_cell_magnitudes {
+            (KC / batch).max(1)
+        } else {
+            1
+        };
+        let chunk_rows = chunk_cells * batch;
+        // A step that failed mid-layer left its rows pending.
+        ws.bwd.tn.reset(chunk_rows);
+
         let mut grads = CellGrads::zeros_like(&self.params);
-        let mut magnitudes = vec![0.0f64; t_len];
+        let mut magnitudes = vec![0.0f64; if chunk_cells == 1 { t_len } else { 0 }];
         // Filled from the last timestep down, reversed at the end.
-        let mut dxs: Vec<Matrix> = Vec::with_capacity(t_len);
+        let mut dxs: Vec<Matrix> = Vec::with_capacity(if need_dx { t_len } else { 0 });
 
         // `(δH_t, δS_t)` from cell `t + 1`; `None` reads as zeros.
         let mut carry: Option<(Matrix, Matrix)> = None;
@@ -491,7 +558,9 @@ impl LstmLayer {
             if matches!(entry, TapeEntry::Skipped { .. }) {
                 // Insignificant BP cell: no computation, gradient
                 // chain truncated at the skip boundary.
-                dxs.push(Matrix::zeros(batch, xs[t].cols()));
+                if need_dx {
+                    dxs.push(Matrix::zeros(batch, xs[t].cols()));
+                }
                 carry = None;
                 continue;
             }
@@ -658,24 +727,34 @@ impl LstmLayer {
             );
 
             let cell_scope = instruments.scope("bp_cell");
-            let (out, magnitude) = cell::backward_ws(
+            let out = cell::backward_ws(
                 panels,
                 &p1,
                 &xs[t],
                 h_prev,
                 &ws.dh_total,
                 ds_next,
-                &mut grads,
+                &mut grads.db,
+                need_dx,
                 kernel,
                 &mut ws.bwd,
                 instruments,
             )?;
             drop(cell_scope);
-            magnitudes[t] = magnitude;
+            if ws.bwd.tn.pending() >= chunk_rows {
+                let magnitude =
+                    cell::flush_weight_grads(&mut ws.bwd, &mut grads, kernel, instruments)?;
+                if let Some(m) = magnitudes.get_mut(t) {
+                    *m = magnitude;
+                }
+            }
 
-            dxs.push(out.dx);
+            if need_dx {
+                dxs.push(out.dx);
+            }
             carry = Some((out.dh_prev, out.ds_prev));
         }
+        cell::flush_weight_grads(&mut ws.bwd, &mut grads, kernel, instruments)?;
         dxs.reverse();
         // Activations released after the layer finishes BP.
         for (x, hm) in xs.iter().zip(tape.hs.iter()) {
@@ -1048,16 +1127,25 @@ mod tests {
     /// The PR 5 contract at layer level: the workspace sequence paths
     /// are bit-identical to a reference loop built from the un-fused
     /// cell primitives, with or without shared panels, and with a
-    /// reused workspace. Returns the per-cell magnitudes, which match
-    /// the reference loop's per-cell `CellGrads::magnitude()` to
-    /// rounding.
+    /// reused workspace. `keep` is the MS2 mask (empty keeps all). With
+    /// `per_cell` the sweep flushes its weight gradients after every
+    /// cell: `δW`/`δU` are bitwise the reference's and the per-cell
+    /// magnitudes match its `CellGrads::magnitude()` to rounding.
+    /// Without it a packed-tier shape sums them a chunk of cells per
+    /// GEMM: `δW`/`δU` stay inside the `2k·ε·|A|ᵀ|B|` floor of the
+    /// reordered sum and no magnitudes come back; everything else is
+    /// bitwise either way.
     fn check_sequence_paths(
         (seq, batch, input, h): (usize, usize, usize, usize),
         kernel: &ParallelConfig,
-    ) -> Vec<f64> {
+        keep: &[bool],
+        per_cell: bool,
+    ) -> LayerBackward {
         let layer = LstmLayer::new(input, h, 12);
         let xs = inputs(seq, batch, input);
-        let inst = Instruments::new();
+        let mut inst = Instruments::new();
+        inst.per_cell_magnitudes = per_cell;
+        let kept = |t: usize| keep.get(t).copied().unwrap_or(true);
 
         // Reference forward: plain unfused cell primitives.
         let mut h_prev = Matrix::zeros(batch, h);
@@ -1072,13 +1160,14 @@ mod tests {
             ref_fws.push(fw);
         }
 
-        let tape = fw(&layer, &xs, StorageMode::Dense, &[], kernel, &inst);
+        let tape = fw(&layer, &xs, StorageMode::Dense, keep, kernel, &inst);
         let hs = &tape.hs;
         for (t, fw) in ref_fws.iter().enumerate() {
             assert_eq!(&hs[t], &fw.h);
             match &tape.entries[t] {
                 TapeEntry::Dense(tfw) => assert_eq!(tfw.as_ref(), fw),
-                other => panic!("expected dense entry, got {other:?}"),
+                TapeEntry::Skipped { .. } if !kept(t) => {}
+                other => panic!("cell {t}: unexpected entry {other:?}"),
             }
         }
 
@@ -1090,7 +1179,7 @@ mod tests {
                 .forward_sequence_ws(
                     &xs,
                     StorageMode::Dense,
-                    &[],
+                    keep,
                     None,
                     kernel,
                     &inst,
@@ -1102,20 +1191,47 @@ mod tests {
         }
 
         // Reference backward: plain unfused cell primitives, reversed,
-        // one materialised gradient per cell.
-        let mut dys = zeros_grads(seq, batch, h);
-        dys[seq - 1] = init::uniform(batch, h, -1.0, 1.0, 77);
+        // one materialised gradient per kept cell. `floor_*` sums the
+        // `|δgates|ᵀ·|x|` every reordering of the weight-gradient sum
+        // is bounded by.
+        let dys: Vec<Matrix> = (0..seq)
+            .map(|t| init::uniform(batch, h, -1.0, 1.0, 77 + t as u64))
+            .collect();
         let zero_h = Matrix::zeros(batch, h);
         let mut ref_grads = CellGrads::zeros_like(&layer.params);
+        let mut floor = CellGrads::zeros_like(&layer.params);
         let mut dh_next = zero_h.clone();
         let mut ds_next = zero_h.clone();
         let mut ref_dxs = Vec::new();
         let mut ref_magnitudes = Vec::new();
         for t in (0..seq).rev() {
+            if !kept(t) {
+                ref_dxs.push(Matrix::zeros(batch, input));
+                ref_magnitudes.push(0.0);
+                (dh_next, ds_next) = (zero_h.clone(), zero_h.clone());
+                continue;
+            }
             let p1 = cell::P1Dense::compute(&ref_fws[t], &s_prevs[t]).unwrap();
             let mut dh_total = dys[t].clone();
             dh_total.add_assign(&dh_next).unwrap();
             let h_prev_t = if t == 0 { &zero_h } else { &ref_fws[t - 1].h };
+            let mut ds_acc = ds_next.clone();
+            ds_acc
+                .add_assign(&dh_total.hadamard(&p1.p_h).unwrap())
+                .unwrap();
+            let mut dg = ds_acc.hadamard(&p1.p_i).unwrap();
+            for part in [
+                ds_acc.hadamard(&p1.p_f),
+                ds_acc.hadamard(&p1.p_c),
+                dh_total.hadamard(&p1.p_o),
+            ] {
+                dg = dg.hcat(&part.unwrap()).unwrap();
+            }
+            let dg = dg.map(f32::abs);
+            for (acc, rhs) in [(&mut floor.dw, &xs[t]), (&mut floor.du, h_prev_t)] {
+                acc.add_assign(&dg.matmul_tn_naive(&rhs.map(f32::abs)).unwrap())
+                    .unwrap();
+            }
             let mut cg = CellGrads::zeros_like(&layer.params);
             let out = cell::backward(
                 &layer.params,
@@ -1150,47 +1266,86 @@ mod tests {
             )
             .unwrap();
         assert_eq!(b.dxs, ref_dxs);
-        assert_eq!(b.grads.dw, ref_grads.dw);
-        assert_eq!(b.grads.du, ref_grads.du);
         assert_eq!(b.grads.db, ref_grads.db);
-        for (t, (&got, &reference)) in b.magnitudes.iter().zip(&ref_magnitudes).enumerate() {
-            assert!(reference > 0.0, "cell {t} carries gradient");
-            assert!(
-                (got - reference).abs() <= 1e-12 * reference,
-                "cell {t}: magnitude {got:e} vs per-cell gradient {reference:e}"
-            );
+        let chunked = !per_cell && 4 * h * batch * input.min(h) >= PACK_MIN_FLOPS;
+        if chunked {
+            assert!(b.magnitudes.is_empty(), "no per-cell product, no magnitude");
+            let tol = 2.0 * (seq * batch) as f32 * f32::EPSILON;
+            for (got, want, floor) in [
+                (&b.grads.dw, &ref_grads.dw, &floor.dw),
+                (&b.grads.du, &ref_grads.du, &floor.du),
+            ] {
+                let gwf = got
+                    .as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .zip(floor.as_slice());
+                for ((&g, &w), &f) in gwf {
+                    assert!((g - w).abs() <= tol * f, "{g:e} vs {w:e}, floor {f:e}");
+                }
+            }
+        } else {
+            assert_eq!(b.grads.dw, ref_grads.dw);
+            assert_eq!(b.grads.du, ref_grads.du);
+            for (t, (&got, &reference)) in b.magnitudes.iter().zip(&ref_magnitudes).enumerate() {
+                assert_eq!(
+                    reference > 0.0,
+                    kept(t),
+                    "cell {t} carries gradient iff kept"
+                );
+                assert!(
+                    (got - reference).abs() <= 1e-12 * reference,
+                    "cell {t}: magnitude {got:e} vs per-cell gradient {reference:e}"
+                );
+            }
         }
 
         // And the panel-less, fresh-workspace run agrees with the
         // panelled one.
         let b2 = bw(&layer, &xs, &tape, &dys, 1.0, kernel, &inst);
         assert_eq!(b2.dxs, b.dxs);
-        assert_eq!(b2.grads.dw, b.grads.dw);
+        assert_eq!(b2.grads, b.grads);
         assert_eq!(b2.magnitudes, b.magnitudes);
-        b.magnitudes
+        b
     }
 
     #[test]
     fn sequence_paths_bit_identical_to_unfused_cell_loop() {
-        check_sequence_paths((5, 3, 6, 8), &ParallelConfig::with_threads(2));
+        check_sequence_paths((5, 3, 6, 8), &ParallelConfig::with_threads(2), &[], false);
     }
 
     /// The same contract where every cell GEMM clears `PACK_MIN_FLOPS`
     /// (packed panels, and the SIMD tier when enabled), with the
     /// row-parallel kernel path forced at 1, 2 and 8 threads — whose
-    /// magnitudes must not differ in a single bit.
+    /// gradients and magnitudes must not differ in a single bit: per
+    /// cell (the bitwise contract, T = 4), then chunked at T = 20 so a
+    /// flush falls mid-sequence (16 cells, then 4), dense and with an
+    /// MS2 mask that has holes inside a chunk.
     #[test]
     fn sequence_paths_bit_identical_to_unfused_cell_loop_mid_scale() {
-        let shape = (4, 16, 48, 64);
-        let run = |threads: usize| {
-            let mut kernel = ParallelConfig::with_threads(threads);
-            kernel.min_kernel_flops = 1;
-            check_sequence_paths(shape, &kernel)
-        };
-        let serial = run(1);
-        for threads in [2usize, 8] {
-            let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&run(threads)), bits(&serial), "{threads} threads");
+        let holes: Vec<bool> = (0..20).map(|t| t != 6 && t != 13).collect();
+        for (seq, keep, per_cell) in [
+            (4, &[][..], true),
+            (20, &[][..], false),
+            (20, &holes[..], false),
+        ] {
+            let run = |threads: usize| {
+                let mut kernel = ParallelConfig::with_threads(threads);
+                kernel.min_kernel_flops = 1;
+                check_sequence_paths((seq, 16, 48, 64), &kernel, keep, per_cell)
+            };
+            let serial = run(1);
+            assert_eq!(serial.magnitudes.is_empty(), !per_cell);
+            for threads in [2usize, 8] {
+                let b = run(threads);
+                assert_eq!(b.grads, serial.grads, "{threads} threads");
+                let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&b.magnitudes),
+                    bits(&serial.magnitudes),
+                    "{threads} threads"
+                );
+            }
         }
     }
 

@@ -73,6 +73,10 @@ pub struct StepResult {
     pub grads: ModelGrads,
     /// Raw per-cell gradient magnitudes, `[layer][t]`
     /// (0 for skipped cells) — feeds paper Fig. 8 and the Eq. 4 α fit.
+    /// A layer's row is empty when its sweep summed weight gradients a
+    /// chunk of cells at a time (dense f32 tape on the packed GEMM tier
+    /// without [`Instruments::per_cell_magnitudes`]; see
+    /// [`LstmLayer::backward_sequence_ws`]).
     pub magnitudes: Vec<Vec<f64>>,
     /// Aggregate MS1 compression statistics (zeroed without MS1).
     pub p1_stats: CompressionStats,
@@ -396,7 +400,8 @@ impl LstmModel {
                 Some(prev) => &prev.hs,
                 None => xs,
             };
-            let back = self.layers[l].backward_sequence_ws(
+            // Nothing reads the bottom layer's input gradient.
+            let back = self.layers[l].backward_sweep(
                 input,
                 tape,
                 &dys_current,
@@ -406,6 +411,7 @@ impl LstmModel {
                 instruments,
                 panels.and_then(|p| p.layer(l)),
                 ws,
+                l > 0,
             )?;
             p1_stats.merge(&LstmLayer::tape_compression_stats(tape));
             magnitudes[l] = back.magnitudes;

@@ -2,11 +2,10 @@
 //! back, so long experiments (and downstream users) can persist
 //! parameters.
 //!
-//! Formerly `checkpoint.rs` — renamed because "checkpointing" now means
-//! MS3's recompute checkpointing ([`crate::ms3`]); a `crate::checkpoint`
-//! re-export shim keeps old paths alive.
+//! ("Checkpointing" in this crate means MS3's recompute checkpointing,
+//! [`crate::ms3`]; saved models are *persisted*.)
 //!
-//! JSON keeps checkpoints debuggable and dependency-light; the tensors
+//! JSON keeps saved models debuggable and dependency-light; the tensors
 //! serialize as flat arrays. For multi-gigabyte production models a
 //! binary format would be preferable — out of scope for this
 //! reproduction.

@@ -82,7 +82,12 @@ pub struct TrainingReport {
     /// One report per epoch.
     pub epochs: Vec<EpochReport>,
     /// Per-cell gradient magnitudes of the **first** epoch,
-    /// `[layer][t]` — the raw data behind paper Fig. 8.
+    /// `[layer][t]` — the raw data behind paper Fig. 8. The trainer
+    /// asks for them under the MS2 strategies (Eq. 4 needs them);
+    /// under the others a layer whose cell GEMMs reach the packed tier
+    /// on a dense f32 tape sums its weight gradients in chunks and
+    /// leaves its row empty (every hidden-24 experiment is below that
+    /// tier and fills all rows).
     pub first_epoch_magnitudes: Vec<Vec<f64>>,
 }
 
@@ -281,7 +286,9 @@ impl Trainer {
         let mut dispatch_last = eta_tensor::stats::dispatch_snapshot();
         for epoch in 0..epochs {
             let plan = self.plan_for_epoch(epoch);
-            let instruments = self.epoch_instruments();
+            let mut instruments = self.epoch_instruments();
+            // Eq. 4's α is fitted to epoch 0's per-cell magnitudes.
+            instruments.per_cell_magnitudes = epoch == 0 && self.strategy.uses_ms2();
             let _epoch_span = self
                 .telemetry
                 .as_ref()

@@ -83,8 +83,9 @@ impl P1Buffers {
 
 /// Reusable buffers of the BP-EW-P2 stage and the weight-gradient
 /// GEMMs it feeds: the accumulated state gradient, the fused
-/// `[batch, 4H]` gate-gradient block, and what forming one cell's
-/// `δW`/`δU`/`δb` needs before they are added to the layer's.
+/// `[batch, 4H]` gate-gradient block, one cell's `δb`, and the
+/// accumulator a chunk of cells' `δW`/`δU` operands wait in until they
+/// are added to the layer's.
 #[derive(Debug, Clone, Default)]
 pub struct BwdBuffers {
     /// `δS' = δS + δH' ⊙ p_h`, `[batch, H]`.
@@ -95,8 +96,10 @@ pub struct BwdBuffers {
     /// here first and added to the layer's once, the association a
     /// per-cell gradient had.
     pub db: Vec<f32>,
-    /// Transposed `δgates`, the packed activation and the product row
-    /// block of the two weight-gradient GEMMs.
+    /// The weight-gradient accumulator: the pending cells' `δgates`
+    /// (transposed) and `x_t` / `h_{t−1}` (packed), plus the product row
+    /// block of the flush. Sized for `KC` reduction steps when the sweep
+    /// runs in chunks (`crate::layer`), one cell's otherwise.
     pub tn: TnScratch,
 }
 
@@ -241,8 +244,8 @@ impl WorkspacePool {
 /// One layer's weights packed in every panel orientation training
 /// consumes: `from_nt` panels for the forward `x·Wᵀ` / `h·Uᵀ` GEMMs,
 /// `from_nn` panels for the backward `δgates·W` / `δgates·U` GEMMs.
-/// (The weight-*gradient* GEMMs repack their rhs at every timestep —
-/// it is an activation — into the [`BwdBuffers`] scratch.)
+/// (The weight-*gradient* GEMMs pack their rhs as the cells push it
+/// — it is an activation — into the [`BwdBuffers`] accumulator.)
 #[derive(Debug, Clone)]
 pub struct LayerPanels {
     /// `W [4H, in]` packed for `x · Wᵀ`.

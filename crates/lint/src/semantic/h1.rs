@@ -75,7 +75,6 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("gemm_nt_rows", KERNELS_RS),
     ("gemm_nt_rows_epilogue", KERNELS_RS),
     ("gemm_nn_rows", KERNELS_RS),
-    ("gemm_tn_rows", KERNELS_RS),
     ("recompute_segment", LAYER_RS),
 ];
 
@@ -85,6 +84,7 @@ const HOT_ROOTS: &[(&str, &str)] = &[
 const SEQ_DRIVERS: &[(&str, &str)] = &[
     ("forward_sequence_ws", LAYER_RS),
     ("backward_sequence_ws", LAYER_RS),
+    ("backward_sweep", LAYER_RS),
 ];
 
 /// Setup/cache-management functions: body exempt and traversal stops —

@@ -334,70 +334,6 @@ pub fn gemm_nn_rows(
     }
 }
 
-/// `out_rows ⟵ (Aᵀ · B)` rows `i0_out..i0_out + rows` over packed
-/// panels (the `tn` orientation, zero-skip on the A element). `a` is
-/// the **full** `[k, m]` A buffer — output row `i` reads A column `i`,
-/// whose tile-row values `a[p][i0..i0+MR]` are contiguous per `p` —
-/// while `out_rows` holds only the produced rows.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tn_rows(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    i0_out: usize,
-    rows: usize,
-    pb: &PackedB,
-    out_rows: &mut [f32],
-    store: Store,
-) {
-    debug_assert_eq!(pb.k(), k);
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert!(i0_out + rows <= m);
-    let n = pb.n();
-    debug_assert_eq!(out_rows.len(), rows * n);
-    crate::stats::record_gemm(rows, k, n);
-    crate::stats::record_scalar_fallback();
-    for panel_idx in 0..pb.panels() {
-        let panel = pb.panel(panel_idx);
-        debug_assert_eq!(panel.len(), k * NR);
-        let j0 = panel_idx * NR;
-        let width = NR.min(n - j0);
-        let mut i0 = 0;
-        while i0 + MR <= rows {
-            let col = i0_out + i0;
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let b = &panel[p * NR..(p + 1) * NR];
-                let av = &a[p * m + col..p * m + col + MR];
-                for (ii, &a_v) in av.iter().enumerate() {
-                    if a_v != 0.0 {
-                        for jj in 0..NR {
-                            acc[ii][jj] += a_v * b[jj];
-                        }
-                    }
-                }
-            }
-            store_tile(&acc, out_rows, n, i0, j0, width, store);
-            i0 += MR;
-        }
-        while i0 < rows {
-            let col = i0_out + i0;
-            let mut acc = [[0.0f32; NR]; 1];
-            for p in 0..k {
-                let b = &panel[p * NR..(p + 1) * NR];
-                let a_v = a[p * m + col];
-                if a_v != 0.0 {
-                    for jj in 0..NR {
-                        acc[0][jj] += a_v * b[jj];
-                    }
-                }
-            }
-            store_tile(&acc, out_rows, n, i0, j0, width, store);
-            i0 += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,26 +362,6 @@ mod tests {
         let mut out = Matrix::zeros(9, 13);
         gemm_nn_rows(a.as_slice(), 9, 6, &pb, out.as_mut_slice(), Store::Assign);
         assert_eq!(out, a.matmul_nn_naive(&b).unwrap());
-    }
-
-    #[test]
-    fn tn_tile_kernel_is_bit_identical_to_naive() {
-        let mut a = init::uniform(5, 10, -2.0, 2.0, 35);
-        a.set(2, 2, 0.0);
-        let b = init::uniform(5, 9, -2.0, 2.0, 36);
-        let pb = PackedB::from_nn(&b);
-        let mut out = Matrix::zeros(10, 9);
-        gemm_tn_rows(
-            a.as_slice(),
-            10,
-            5,
-            0,
-            10,
-            &pb,
-            out.as_mut_slice(),
-            Store::Assign,
-        );
-        assert_eq!(out, a.matmul_tn_naive(&b).unwrap());
     }
 
     #[test]

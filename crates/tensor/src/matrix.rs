@@ -71,16 +71,79 @@ const TILE_ELEMS: usize = 32 * 1024;
 /// scalar), so only the last block of a product sees 1-row edge tiles.
 const TILE_ROW_STEP: usize = 12;
 
-/// Caller-owned scratch of [`Matrix::matmul_tn_acc_abs_into`]: what the
-/// packed `tn` product would otherwise allocate per call. Buffers size
-/// themselves from the operands of the last call and are reused while
-/// the shapes repeat.
+/// The naive `tn` loop: `out += aᵀ · b` for row-major `a` (`[k, m]`),
+/// `b` (`[k, n]`) and `out` (`[m, n]`, zeroed by the caller for a plain
+/// product) — `p`-outer, a zero-skip on the A element, every output
+/// element accumulated in ascending `p`.
+fn tn_naive_acc(a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    if m * n == 0 {
+        return;
+    }
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        for (i, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// Rows `[row0, row0 + rows)` of `a · B` assigned to `dst`, `a` being
+/// row-major `[_, k]` and `B` packed `nn` panels — the row-block body of
+/// every `nn` and `tn` product.
+fn nn_rows(
+    simd: bool,
+    a: &[f32],
+    k: usize,
+    pb: &PackedB,
+    row0: usize,
+    rows: usize,
+    dst: &mut [f32],
+) {
+    let a_rows = row_block(a, k, row0, rows);
+    if simd {
+        crate::simd::gemm_rows_nn(a_rows, rows, k, pb, dst, Store::Assign);
+    } else {
+        kernels::gemm_nn_rows(a_rows, rows, k, pb, dst, Store::Assign);
+    }
+}
+
+/// The weight-gradient accumulator: the software form of the paper's
+/// streaming outer-product adder. [`TnScratch::push`] appends a cell's
+/// `δgates` rows (`A`, shared by every product of the chunk) and its
+/// activations (one `rhs` per product) in the layout the `tn` kernel
+/// reads — `A` transposed, each `rhs` as packed `nn` panels — and
+/// [`TnScratch::flush`] adds `Aᵀ · rhs_j` over everything pushed to
+/// `outs[j]`, so a chunk of cells costs one GEMM per weight matrix at
+/// the chunk's full reduction depth. A chunk whose every product stays
+/// below [`PACK_MIN_FLOPS`] even at the reserved depth is kept as the
+/// rows came and multiplied by the naive loop instead: the same bits as
+/// the scalar kernel, at 0.6 of its time on the hidden-24 cell. Buffers
+/// size themselves from the first push after a [`TnScratch::reset`] and
+/// are reused while the shapes repeat.
 #[derive(Debug, Clone, Default)]
 pub struct TnScratch {
-    /// Blocked transpose of A, `[m, k]` (SIMD tier only).
+    /// Reduction steps a chunk has room for: the row stride of `at`.
+    depth: usize,
+    /// Reduction steps pushed since the last flush.
+    pending: usize,
+    /// Output rows `m` of the pending chunk.
+    m: usize,
+    /// The pushed A rows, transposed: `[m, depth]`, columns
+    /// `..pending` written.
     at: Vec<f32>,
-    /// `rhs` as packed `nn` panels.
-    pb: PackedB,
+    /// One packed rhs per product, `pending` rows deep.
+    pbs: Vec<PackedB>,
+    /// A naive-tier chunk instead of `at` and the panels of `pbs`: the
+    /// pushed rows as they came, one `[depth, width]` row-major block
+    /// per operand — `a`, then each rhs.
+    rows: Vec<f32>,
+    /// Whether the pending chunk is a naive-tier one.
+    naive: bool,
     /// One product row block per worker.
     tile: Vec<f32>,
     /// `Σ|product|` of each output row.
@@ -90,9 +153,178 @@ pub struct TnScratch {
 impl TnScratch {
     /// Bytes currently held.
     pub fn size_bytes(&self) -> u64 {
-        let f32s = self.at.len() + self.tile.len();
+        let f32s = self.at.len() + self.rows.len() + self.tile.len();
         (f32s * std::mem::size_of::<f32>() + self.row_abs.len() * std::mem::size_of::<f64>()) as u64
-            + self.pb.size_bytes()
+            + self.pbs.iter().map(PackedB::size_bytes).sum::<u64>()
+    }
+
+    /// Drops whatever is pending (a caller that bailed out between push
+    /// and flush leaves rows behind) and gives the chunks that follow
+    /// room for `depth` reduction steps.
+    pub fn reset(&mut self, depth: usize) {
+        (self.depth, self.pending) = (depth, 0);
+    }
+
+    /// Reduction steps pushed and not yet flushed.
+    pub fn pending(&self) -> usize {
+        self.pending
+    }
+
+    /// Appends `a` (`[r, m]`) and one `[r, n_j]` matrix per product as
+    /// the next `r` reduction steps of the pending chunk. The first push
+    /// of a chunk fixes `m` and every `n_j`, and always fits: the room
+    /// grows to `r` if less was reserved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] — and appends nothing — if
+    /// `a` does not have the pending chunk's `m` columns, if `r` more
+    /// steps exceed the room [`TnScratch::reset`] reserved (the caller
+    /// flushes first), or if `rhs` differs in count, rows or columns
+    /// from `a` and what is pending.
+    pub fn push(&mut self, a: &Matrix, rhs: &[&Matrix]) -> Result<()> {
+        if self.pending == 0 {
+            self.m = a.cols;
+            self.depth = self.depth.max(a.rows);
+            let work = self.m * self.depth;
+            self.naive = rhs.iter().all(|b| work * b.cols < PACK_MIN_FLOPS);
+            let (depth, stacked) = if self.naive {
+                let widths = self.m + rhs.iter().map(|b| b.cols).sum::<usize>();
+                (0, self.depth * widths)
+            } else {
+                (self.depth, 0)
+            };
+            self.rows.resize(stacked, 0.0);
+            self.at.resize(self.m * depth, 0.0);
+            self.pbs.resize_with(rhs.len(), PackedB::default);
+            for (pb, b) in self.pbs.iter_mut().zip(rhs) {
+                pb.reserve(depth, b.cols);
+            }
+        }
+        let room = self.depth - self.pending;
+        let odd = rhs
+            .iter()
+            .zip(&self.pbs)
+            .find(|(b, pb)| b.rows != a.rows || b.cols != pb.n());
+        if a.cols != self.m || a.rows > room || rhs.len() != self.pbs.len() || odd.is_some() {
+            return Err(TensorError::ShapeMismatch {
+                op: "TnScratch::push",
+                lhs: (a.rows, a.cols),
+                rhs: odd.map_or((room, self.m), |(b, _)| (b.rows, b.cols)),
+            });
+        }
+        if self.naive {
+            let mut block0 = 0;
+            for operand in std::iter::once(&a).chain(rhs) {
+                let row0 = block0 + self.pending * operand.cols;
+                self.rows[row0..row0 + operand.data.len()].copy_from_slice(&operand.data);
+                block0 += self.depth * operand.cols;
+            }
+        } else {
+            a.transpose_into(&mut self.at, self.depth, self.pending);
+            for (pb, b) in self.pbs.iter_mut().zip(rhs) {
+                pb.append_nn(b, &ParallelConfig::serial());
+            }
+        }
+        self.pending += a.rows;
+        Ok(())
+    }
+
+    /// `outs[j] += Aᵀ · rhs_j` over everything pushed since the last
+    /// flush — one product per output, formed one cache-sized row block
+    /// at a time and added while the block is still cached — and empties
+    /// the accumulator. Returns `Σ_j Σ|Aᵀ · rhs_j|`; with nothing
+    /// pending it touches nothing and returns `0`.
+    ///
+    /// A block holds the **complete** product — every reduction chunk —
+    /// before it is added, so `outs[j]` is bit-identical to
+    /// [`Matrix::matmul_tn`] of the stacked operands followed by
+    /// [`Matrix::add_assign`], however the rows were cut into pushes.
+    /// The returned sum takes `|v|` into eight `f64` lanes per output
+    /// row (lane `j % 8`), folds the lanes pairwise and adds the rows in
+    /// ascending order, then the products in `outs` order: a function of
+    /// the operands only, whatever `cfg`'s thread count. It agrees with
+    /// [`Matrix::abs_sum`] of the products to rounding (the association
+    /// differs), not bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] — leaving the chunk
+    /// pending — unless `outs` holds one `[m, n_j]` matrix per product.
+    pub fn flush(&mut self, outs: &mut [&mut Matrix], cfg: &ParallelConfig) -> Result<f64> {
+        let (k, m, depth) = (self.pending, self.m, self.depth);
+        if k == 0 {
+            return Ok(0.0);
+        }
+        let fits = |(out, pb): (&&mut Matrix, &PackedB)| out.rows == m && out.cols == pb.n();
+        if outs.len() != self.pbs.len() || !outs.iter().zip(&self.pbs).all(fits) {
+            return Err(TensorError::ShapeMismatch {
+                op: "TnScratch::flush",
+                lhs: (k, m),
+                rhs: outs.first().map_or((0, 0), |o| (o.rows, o.cols)),
+            });
+        }
+        // A short chunk closes its rows up to the stride the kernel
+        // reads, `k`.
+        if k < depth && !self.naive {
+            for i in 1..m {
+                self.at.copy_within(i * depth..i * depth + k, i * k);
+            }
+        }
+        self.pending = 0;
+        let TnScratch {
+            at,
+            pbs,
+            rows,
+            naive,
+            tile,
+            row_abs,
+            ..
+        } = self;
+        row_abs.resize(m, 0.0);
+        let mut total = 0.0;
+        // Where product j's rhs block starts in `rows`.
+        let mut block0 = depth * m;
+        for (pb, out) in pbs.iter().zip(outs.iter_mut()) {
+            let n = pb.n();
+            if m * n == 0 {
+                continue;
+            }
+            if *naive {
+                tile.clear();
+                tile.resize(m * n, 0.0);
+                tn_naive_acc(&rows[..k * m], m, &rows[block0..block0 + k * n], n, tile);
+                kernels::add_abs_rows(&mut out.data, tile, n, row_abs);
+                block0 += depth * n;
+            } else {
+                let at = &at[..m * k];
+                let rows_per = Matrix::rows_per_worker((m, k, n), cfg);
+                let tile_rows = (TILE_ELEMS / n / TILE_ROW_STEP).max(1) * TILE_ROW_STEP;
+                let tile_rows = tile_rows.min(rows_per);
+                tile.resize(m.div_ceil(rows_per) * tile_rows * n, 0.0);
+                let sides = tile
+                    .chunks_mut(tile_rows * n)
+                    .zip(row_abs.chunks_mut(rows_per));
+                Matrix::dispatch_rows_with(
+                    &mut out.data,
+                    (m, k, n),
+                    cfg,
+                    sides,
+                    |simd, row0, _, chunk, (tile, abs)| {
+                        let blocks = chunk
+                            .chunks_mut(tile_rows * n)
+                            .zip(abs.chunks_mut(tile_rows));
+                        for (b, (out_rows, abs)) in blocks.enumerate() {
+                            let tile = &mut tile[..out_rows.len()];
+                            nn_rows(simd, at, k, pb, row0 + b * tile_rows, abs.len(), tile);
+                            kernels::add_abs_rows(out_rows, tile, n, abs);
+                        }
+                    },
+                );
+            }
+            total += row_abs.iter().sum::<f64>();
+        }
+        Ok(total)
     }
 }
 
@@ -243,8 +475,8 @@ impl Matrix {
 
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut data = Vec::new();
-        self.transpose_into(&mut data);
+        let mut data = vec![0.0; self.data.len()];
+        self.transpose_into(&mut data, self.rows, 0);
         Matrix {
             rows: self.cols,
             cols: self.rows,
@@ -252,23 +484,22 @@ impl Matrix {
         }
     }
 
-    /// Writes the transpose into `out` (resized to fit, every element
-    /// overwritten). Cache-blocked (32×32 tiles so both the source rows
-    /// and destination rows of a tile fit in L1 together): the SIMD
-    /// `tn` path transposes A once so the streaming row kernel can read
-    /// it contiguously instead of striding down columns — O(r·c) copies
-    /// next to the O(r·c·n) GEMM that follows.
-    fn transpose_into(&self, out: &mut Vec<f32>) {
+    /// Writes the transpose into columns `[col0, col0 + rows)` of `out`,
+    /// a row-major buffer of `stride`-wide rows. Cache-blocked (32×32
+    /// tiles so both the source rows and destination rows of a tile fit
+    /// in L1 together): the `tn` product transposes A so the streaming
+    /// row kernel can read it contiguously instead of striding down
+    /// columns — O(r·c) copies next to the O(r·c·n) GEMM that follows.
+    fn transpose_into(&self, out: &mut [f32], stride: usize, col0: usize) {
         const TB: usize = 32;
         let (r, c) = (self.rows, self.cols);
-        out.resize(r * c, 0.0);
         for i0 in (0..r).step_by(TB) {
             let ih = TB.min(r - i0);
             for j0 in (0..c).step_by(TB) {
                 let jw = TB.min(c - j0);
                 for i in i0..i0 + ih {
                     for j in j0..j0 + jw {
-                        out[j * r + i] = self.data[i * c + j];
+                        out[j * stride + col0 + i] = self.data[i * c + j];
                     }
                 }
             }
@@ -446,11 +677,12 @@ impl Matrix {
     /// This is the weight-gradient orientation: gate gradients
     /// `[batch, out]ᵀ · x [batch, in] -> [out, in]` (the paper's outer
     /// product summed over the batch, Eq. 3). Above [`PACK_MIN_FLOPS`]
-    /// the product packs `rhs` and runs the register-blocked kernel
-    /// (bit-identical to [`Matrix::matmul_tn_naive`] on the scalar
-    /// tier — the tiled kernel accumulates each output element over the
-    /// same ascending batch order `p = 0..k` — and ULP-bounded under
-    /// SIMD); below it, the naive loop.
+    /// the product lays the operands out as [`TnScratch::push`] does
+    /// and runs the register-blocked kernel (bit-identical to
+    /// [`Matrix::matmul_tn_naive`] on the scalar tier — the tiled
+    /// kernel accumulates each output element over the same ascending
+    /// batch order `p = 0..k` — and ULP-bounded under SIMD); below it,
+    /// the naive loop.
     ///
     /// # Errors
     ///
@@ -458,10 +690,12 @@ impl Matrix {
     pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         if self.rows == rhs.rows && m * k * n >= PACK_MIN_FLOPS {
+            let mut acc = TnScratch::default();
+            acc.reset(k);
+            acc.push(self, &[rhs])?;
             let mut out = Matrix::zeros(m, n);
-            let (mut at, mut pb) = (Vec::new(), PackedB::default());
-            let simd = self.tn_prepare(rhs, &ParallelConfig::serial(), &mut at, &mut pb);
-            self.tn_product(simd, &at, &pb, 0, m, &mut out.data);
+            let simd = crate::simd::use_simd(m, k, n);
+            nn_rows(simd, &acc.at, k, &acc.pbs[0], 0, m, &mut out.data);
             return Ok(out);
         }
         self.matmul_tn_naive(rhs)
@@ -484,27 +718,8 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.tn_naive_acc(rhs, &mut out.data);
+        tn_naive_acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
         Ok(out)
-    }
-
-    /// The naive `tn` loop, accumulating onto `out` (`[m, n]`, zeroed by
-    /// the caller for a plain product); shapes are already checked.
-    fn tn_naive_acc(&self, rhs: &Matrix, out: &mut [f32]) {
-        let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        for p in 0..k {
-            let a_row = &self.data[p * m..(p + 1) * m];
-            let b_row = &rhs.data[p * n..(p + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
     }
 
     /// In-place accumulating `out += selfᵀ · rhs`:
@@ -530,21 +745,9 @@ impl Matrix {
     /// In-place `out += selfᵀ · rhs` that also returns `Σ|selfᵀ · rhs|`
     /// — the weight gradient of one BPTT cell (`δW += δgatesᵀ · x`,
     /// Eq. 3) and that cell's Fig. 8 magnitude, from one pass over
-    /// `out`. The paper's accelerator sums the per-cell outer products
-    /// in a streaming accumulator so they never exist as tensors; here
-    /// the product is formed one cache-sized row block at a time in
-    /// `scratch` and each block is added to `out` while it is still
-    /// cached.
-    ///
-    /// A block holds the **complete** product — every reduction chunk —
-    /// before it is added, so `out` is bit-identical to `matmul_tn`
-    /// followed by [`Matrix::add_assign`] at any reduction depth. The
-    /// returned sum takes `|v|` into eight `f64` lanes per output row
-    /// (lane `j % 8`), folds the lanes pairwise and adds the rows in
-    /// ascending order: a function of the operands only, whatever
-    /// `cfg`'s thread count and however the rows were cut. It agrees
-    /// with [`Matrix::abs_sum`] of the product to rounding (the
-    /// association differs), not bit for bit.
+    /// `out`: one [`TnScratch::push`] and one [`TnScratch::flush`] on
+    /// `scratch`, which is reset first (rows another caller left pending
+    /// in it are dropped). See `flush` for the association rules.
     ///
     /// # Errors
     ///
@@ -557,103 +760,9 @@ impl Matrix {
         scratch: &mut TnScratch,
         cfg: &ParallelConfig,
     ) -> Result<f64> {
-        let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        if self.rows != rhs.rows || out.rows != m || out.cols != n {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_tn_acc_abs_into",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        if m * n == 0 {
-            return Ok(0.0);
-        }
-        let TnScratch {
-            at,
-            pb,
-            tile,
-            row_abs,
-        } = scratch;
-        row_abs.resize(m, 0.0);
-        if m * k * n < PACK_MIN_FLOPS {
-            tile.clear();
-            tile.resize(m * n, 0.0);
-            self.tn_naive_acc(rhs, tile);
-            kernels::add_abs_rows(&mut out.data, tile, n, row_abs);
-        } else {
-            let rows_per = Self::rows_per_worker((m, k, n), cfg);
-            let tile_rows = (TILE_ELEMS / n / TILE_ROW_STEP).max(1) * TILE_ROW_STEP;
-            let tile_rows = tile_rows.min(rows_per);
-            tile.resize(m.div_ceil(rows_per) * tile_rows * n, 0.0);
-            let simd = self.tn_prepare(rhs, cfg, at, pb);
-            let (at, pb) = (&*at, &*pb);
-            let sides = tile
-                .chunks_mut(tile_rows * n)
-                .zip(row_abs.chunks_mut(rows_per));
-            Self::dispatch_rows_with(
-                &mut out.data,
-                (m, k, n),
-                cfg,
-                sides,
-                |_, row0, _, chunk, (tile, abs)| {
-                    let blocks = chunk
-                        .chunks_mut(tile_rows * n)
-                        .zip(abs.chunks_mut(tile_rows));
-                    for (b, (out_rows, abs)) in blocks.enumerate() {
-                        let tile = &mut tile[..out_rows.len()];
-                        self.tn_product(simd, at, pb, row0 + b * tile_rows, abs.len(), tile);
-                        kernels::add_abs_rows(out_rows, tile, n, abs);
-                    }
-                },
-            );
-        }
-        Ok(row_abs.iter().sum())
-    }
-
-    /// Packs `rhs` into `pb` for the `tn` row kernel and returns whether
-    /// the product runs on the SIMD tier. Shapes are already checked.
-    ///
-    /// The scalar `tn` kernel strides down A columns (stride `m` floats
-    /// per reduction step), which is the pathology behind its
-    /// 1.3x-over-naive plateau. The SIMD tier gives `tn` its own layout
-    /// instead: a blocked transpose of A into `at`, row-major `[m, k]`,
-    /// after which the streaming row kernel (contiguous A reads,
-    /// L1-resident panel slices) serves it exactly like `nn`. The
-    /// transpose is shared by all workers; each consumes a disjoint row
-    /// slice, so parallel results stay bitwise equal to serial.
-    fn tn_prepare(
-        &self,
-        rhs: &Matrix,
-        cfg: &ParallelConfig,
-        at: &mut Vec<f32>,
-        pb: &mut PackedB,
-    ) -> bool {
-        pb.repack_nn_par(rhs, cfg);
-        let simd = crate::simd::use_simd(self.cols, self.rows, rhs.cols);
-        if simd {
-            self.transpose_into(at);
-        }
-        simd
-    }
-
-    /// Assigns rows `[row0, row0 + rows)` of `selfᵀ · rhs` to `dst`
-    /// from the operands [`Matrix::tn_prepare`] laid out.
-    fn tn_product(
-        &self,
-        simd: bool,
-        at: &[f32],
-        pb: &PackedB,
-        row0: usize,
-        rows: usize,
-        dst: &mut [f32],
-    ) {
-        let (k, m) = (self.rows, self.cols);
-        if simd {
-            let a_rows = row_block(at, k, row0, rows);
-            crate::simd::gemm_rows_nn(a_rows, rows, k, pb, dst, Store::Assign);
-        } else {
-            kernels::gemm_tn_rows(&self.data, m, k, row0, rows, pb, dst, Store::Assign);
-        }
+        scratch.reset(self.rows);
+        scratch.push(self, &[rhs])?;
+        scratch.flush(&mut [out], cfg)
     }
 
     /// Rows each worker of [`Matrix::dispatch_rows`] takes: all `m` when
@@ -748,12 +857,7 @@ impl Matrix {
         let a = &self.data;
         let mut out = Matrix::zeros(m, n);
         Self::dispatch_rows(&mut out.data, (m, k, n), cfg, |simd, row0, rows, chunk| {
-            let a_rows = row_block(a, k, row0, rows);
-            if simd {
-                crate::simd::gemm_rows_nn(a_rows, rows, k, pb, chunk, Store::Assign);
-            } else {
-                kernels::gemm_nn_rows(a_rows, rows, k, pb, chunk, Store::Assign);
-            }
+            nn_rows(simd, a, k, pb, row0, rows, chunk);
         });
         Ok(out)
     }

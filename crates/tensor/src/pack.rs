@@ -32,11 +32,14 @@ pub const NR: usize = 8;
 ///   transpose, so the kernels are orientation-agnostic afterwards.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedB {
-    /// Logical reduction depth `k`.
+    /// Logical reduction depth `k`: the rows packed so far.
     k: usize,
     /// Logical output-column count `n`.
     n: usize,
-    /// Panel-major buffer: `ceil(n / NR)` panels of `k * NR` values.
+    /// Rows each panel has room for (`>= k`; equal to it everywhere
+    /// but in a weight-gradient accumulator between flushes).
+    depth: usize,
+    /// Panel-major buffer: `ceil(n / NR)` panels of `depth * NR` values.
     data: Vec<f32>,
 }
 
@@ -93,51 +96,63 @@ impl PackedB {
     /// kernel parallelism, is a latency knob only.
     pub fn from_nn_par(b: &Matrix, cfg: &ParallelConfig) -> Self {
         let mut pb = PackedB::default();
-        pb.repack_nn_par(b, cfg);
+        pb.reserve(b.rows(), b.cols());
+        pb.append_nn(b, cfg);
         pb
     }
 
-    /// [`PackedB::from_nn_par`] into this buffer: the `tn` weight-gradient
-    /// GEMM packs a different activation at every timestep, so its
-    /// caller keeps one `PackedB` and refills it.
-    pub(crate) fn repack_nn_par(&mut self, b: &Matrix, cfg: &ParallelConfig) {
-        self.pack_par(b.rows(), b.cols(), b.as_slice(), cfg, fill_nn_panel);
+    /// Empties the buffer and gives every panel room for `depth` rows of
+    /// `n` columns. The fills never touch the edge panel's padding
+    /// lanes, so the buffer is re-zeroed only when the shape changes.
+    pub(crate) fn reserve(&mut self, depth: usize, n: usize) {
+        if (self.depth, self.n) != (depth, n) {
+            self.data.clear();
+            self.data.resize(n.div_ceil(NR) * depth * NR, 0.0);
+            (self.depth, self.n) = (depth, n);
+        }
+        self.k = 0;
+    }
+
+    /// Appends the rows of `b` (`[r, n]`, the next `r` reduction steps
+    /// of an `nn`/`tn` rhs) below the rows already packed. The caller
+    /// has checked `b.cols() == self.n()` and that `r` more rows fit the
+    /// reserved depth.
+    pub(crate) fn append_nn(&mut self, b: &Matrix, cfg: &ParallelConfig) {
+        self.pack_par(b.rows(), b.as_slice(), cfg, fill_nn_panel);
     }
 
     /// [`PackedB::from_nt`] with parallel panel filling (transposed
     /// source); bit-identical to the serial pack.
     pub fn from_nt_par(b: &Matrix, cfg: &ParallelConfig) -> Self {
         let mut pb = PackedB::default();
-        pb.pack_par(b.cols(), b.rows(), b.as_slice(), cfg, fill_nt_panel);
+        pb.reserve(b.cols(), b.rows());
+        pb.pack_par(b.cols(), b.as_slice(), cfg, fill_nt_panel);
         pb
     }
 
-    /// The one packing body: splits the panel-major buffer into one
-    /// contiguous chunk of whole panels per worker. Falls back to
-    /// the serial loop when the config says serial, the panel count
-    /// cannot feed every worker, or the copy volume (`k * n` values)
-    /// is below the kernel-flops threshold — a pack moves one byte per
-    /// value, so small packs lose more to spawn latency than they gain.
-    /// The fills never touch the edge panel's padding lanes, so the
-    /// buffer is re-zeroed only when the shape changes.
+    /// The one packing body: fills rows `[k, k + r)` of every panel from
+    /// `src`, one contiguous chunk of whole panels per worker. Falls
+    /// back to the serial loop when the config says serial, the panel
+    /// count cannot feed every worker, or the copy volume (`r * n`
+    /// values) is below the kernel-flops threshold — a pack moves one
+    /// byte per value, so small packs lose more to spawn latency than
+    /// they gain.
     fn pack_par(
         &mut self,
-        k: usize,
-        n: usize,
+        r: usize,
         src: &[f32],
         cfg: &ParallelConfig,
         fill: fn(&mut [f32], &[f32], usize, usize, usize),
     ) {
+        let (n, k0) = (self.n, self.k);
+        debug_assert!(k0 + r <= self.depth);
+        self.k = k0 + r;
         let panels = n.div_ceil(NR);
-        if (self.k, self.n) != (k, n) {
-            self.data.clear();
-            self.data.resize(panels * k * NR, 0.0);
-            (self.k, self.n) = (k, n);
-        }
         let data = &mut self.data;
-        if k > 0 {
-            let stride = k * NR;
-            if cfg.threads > 1 && panels >= cfg.threads && k * n >= cfg.min_kernel_flops {
+        if r > 0 {
+            let stride = self.depth * NR;
+            let rows = k0 * NR..(k0 + r) * NR;
+            if cfg.threads > 1 && panels >= cfg.threads && r * n >= cfg.min_kernel_flops {
                 crate::stats::record_panel_pack_parallel();
                 // Asked of the OS only on this branch: the query costs
                 // microseconds, which a serial pack of a small panel
@@ -150,16 +165,17 @@ impl PackedB {
                 let per = panels.div_ceil(workers);
                 rayon::scope(|s| {
                     for (w, slab) in data.chunks_mut(per * stride).enumerate() {
+                        let rows = rows.clone();
                         s.spawn(move |_| {
                             for (off, chunk) in slab.chunks_exact_mut(stride).enumerate() {
-                                fill(chunk, src, k, n, w * per + off);
+                                fill(&mut chunk[rows.clone()], src, r, n, w * per + off);
                             }
                         });
                     }
                 });
             } else {
                 for (panel, chunk) in data.chunks_exact_mut(stride).enumerate() {
-                    fill(chunk, src, k, n, panel);
+                    fill(&mut chunk[rows.clone()], src, r, n, panel);
                 }
             }
         }
@@ -188,9 +204,9 @@ impl PackedB {
     #[inline]
     pub fn panel(&self, idx: usize) -> &[f32] {
         assert!(idx < self.panels(), "panel index out of bounds");
-        let stride = self.k * NR;
+        let stride = self.depth * NR;
         debug_assert_eq!(self.data.len(), self.panels() * stride);
-        &self.data[idx * stride..(idx + 1) * stride]
+        &self.data[idx * stride..idx * stride + self.k * NR]
     }
 
     /// Size of the packed buffer in bytes.

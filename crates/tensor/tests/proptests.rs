@@ -20,25 +20,19 @@ fn nt_packed(a: &Matrix, b: &Matrix, cfg: &ParallelConfig) -> Matrix {
     out
 }
 
-/// `aᵀ · b` through the tiled scalar `tn` kernel, produced as two row
-/// blocks the way a two-worker partition would (the `Matrix` entries
-/// only reach this kernel above `PACK_MIN_FLOPS`).
+/// `aᵀ · b` through the tiled scalar kernel the way the weight-gradient
+/// accumulator runs it — `a` transposed, `b` as `nn` panels — produced
+/// as two row blocks the way a two-worker partition would (the `Matrix`
+/// entries only reach this kernel above `PACK_MIN_FLOPS`).
 fn tn_tiled(a: &Matrix, b: &Matrix) -> Matrix {
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
     let pb = PackedB::from_nn(b);
+    let at = a.transpose();
     let mut out = Matrix::zeros(m, n);
     let (top, bottom) = out.as_mut_slice().split_at_mut((m / 2) * n);
-    kernels::gemm_tn_rows(a.as_slice(), m, k, 0, m / 2, &pb, top, Store::Assign);
-    kernels::gemm_tn_rows(
-        a.as_slice(),
-        m,
-        k,
-        m / 2,
-        m - m / 2,
-        &pb,
-        bottom,
-        Store::Assign,
-    );
+    let (at_top, at_bottom) = at.as_slice().split_at((m / 2) * k);
+    kernels::gemm_nn_rows(at_top, m / 2, k, &pb, top, Store::Assign);
+    kernels::gemm_nn_rows(at_bottom, m - m / 2, k, &pb, bottom, Store::Assign);
     out
 }
 
@@ -148,6 +142,168 @@ fn check_fused_tn(m: usize, k: usize, n: usize, seed: u64) {
             );
         }
     }
+}
+
+/// The weight-gradient accumulator over one chunk cut into pushes of
+/// `cuts[i]` rows (`a` is `[Σcuts, m]`, the two products' operands
+/// `[Σcuts, n1]` / `[Σcuts, n2]`), with room for `depth` reduction steps:
+///
+/// - the pushes and one flush leave both `out`s and the returned sum
+///   **bitwise** what one `matmul_tn_acc_abs_into` per product on the
+///   stacked operands leaves, at 1, 2 and 8 forced kernel threads, on a
+///   fresh accumulator and on one that last held another shape;
+/// - push + flush per cut is bitwise `matmul_tn` + `add_assign` per cut;
+/// - the two differ by no more than the `2k·ε·(|A|ᵀ|B| + |out|)` floor
+///   of a reordered sum landing on a non-zero `out`.
+fn check_accumulator(m: usize, (n1, n2): (usize, usize), cuts: &[usize], depth: usize, seed: u64) {
+    let k: usize = cuts.iter().sum();
+    let a = seasoned(k, m, seed);
+    let rhs = [
+        seasoned(k, n1, seed.wrapping_add(1)),
+        seasoned(k, n2, seed.wrapping_add(2)),
+    ];
+    let base = [
+        seasoned(m, n1, seed.wrapping_add(3)),
+        seasoned(m, n2, seed.wrapping_add(4)),
+    ];
+    let label = format!("[{k},{m}]ᵀ·[{k},{n1}|{n2}] cut {cuts:?} in {depth}");
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let forced = |threads: usize| {
+        let mut cfg = ParallelConfig::with_threads(threads);
+        cfg.min_kernel_flops = 1;
+        cfg
+    };
+
+    let mut stacked = base.clone();
+    let mut stacked_sum = 0.0;
+    for (b, out) in rhs.iter().zip(&mut stacked) {
+        stacked_sum += a
+            .matmul_tn_acc_abs_into(b, out, &mut TnScratch::default(), &forced(1))
+            .unwrap();
+    }
+
+    let mut used = TnScratch::default();
+    used.reset(3);
+    let other = seasoned(3, m + 5, seed.wrapping_add(5));
+    used.push(&other, &[&seasoned(3, n2 + 9, seed.wrapping_add(6))])
+        .unwrap();
+    for threads in [1usize, 2, 8] {
+        for acc in [&mut TnScratch::default(), &mut used] {
+            acc.reset(depth);
+            let mut row0 = 0;
+            for &r in cuts {
+                let piece = |m: &Matrix| m.rows_slice(row0, r);
+                acc.push(&piece(&a), &[&piece(&rhs[0]), &piece(&rhs[1])])
+                    .unwrap();
+                row0 += r;
+            }
+            assert_eq!(acc.pending(), k);
+            let [mut o1, mut o2] = base.clone();
+            let sum = acc
+                .flush(&mut [&mut o1, &mut o2], &forced(threads))
+                .unwrap();
+            assert_eq!(acc.pending(), 0);
+            assert_eq!(
+                bits(&o1),
+                bits(&stacked[0]),
+                "{label}: out 1, {threads} threads"
+            );
+            assert_eq!(
+                bits(&o2),
+                bits(&stacked[1]),
+                "{label}: out 2, {threads} threads"
+            );
+            assert_eq!(sum.to_bits(), stacked_sum.to_bits(), "{label}: sum");
+            // Nothing pending: both outputs stay as they are.
+            assert_eq!(
+                acc.flush(&mut [&mut o1, &mut o2], &forced(threads))
+                    .unwrap(),
+                0.0
+            );
+            assert_eq!(bits(&o1), bits(&stacked[0]), "{label}: empty flush");
+        }
+    }
+
+    let mut per_cut = base.clone();
+    let mut reference = base.clone();
+    let mut acc = TnScratch::default();
+    let mut row0 = 0;
+    for &r in cuts {
+        let piece = |m: &Matrix| m.rows_slice(row0, r);
+        acc.reset(r);
+        acc.push(&piece(&a), &[&piece(&rhs[0]), &piece(&rhs[1])])
+            .unwrap();
+        let [o1, o2] = &mut per_cut;
+        acc.flush(&mut [o1, o2], &forced(2)).unwrap();
+        for (b, out) in rhs.iter().zip(&mut reference) {
+            out.add_assign(&piece(&a).matmul_tn(&piece(b)).unwrap())
+                .unwrap();
+        }
+        row0 += r;
+    }
+    let tol = 2.0 * k as f32 * f32::EPSILON;
+    for j in 0..2 {
+        assert_eq!(
+            bits(&per_cut[j]),
+            bits(&reference[j]),
+            "{label}: per cut, out {j}"
+        );
+        let floor = a
+            .map(f32::abs)
+            .matmul_tn_naive(&rhs[j].map(f32::abs))
+            .unwrap();
+        // The landing adds round relative to `out`, hence `|base|`.
+        let scale = floor.add(&base[j].map(f32::abs)).unwrap();
+        for ((&c, &p), &f) in stacked[j]
+            .as_slice()
+            .iter()
+            .zip(per_cut[j].as_slice())
+            .zip(scale.as_slice())
+        {
+            assert!(
+                (c - p).abs() <= tol * f,
+                "{label}: chunked {c:e} vs per cut {p:e}"
+            );
+        }
+    }
+}
+
+/// Chunks as the backward sweep forms them — eight cells of 32 rows
+/// into `KC`, a short last chunk, ragged cuts — at `m` off the 6- and
+/// 4-row tiles and `n` off the 16- and 8-lane panels.
+#[test]
+fn accumulator_pushes_and_one_flush_match_the_stacked_product() {
+    check_accumulator(96, (40, 24), &[32; 8], simd::KC, 11);
+    check_accumulator(131, (77, 520), &[32, 32, 32], simd::KC, 12);
+    check_accumulator(64, (48, 16), &[7, 1, 16, 3, 16], 64, 13);
+    check_accumulator(50, (33, 8), &[300, 17], 400, 14);
+}
+
+/// What does not fit is refused and leaves the pending chunk as it was.
+#[test]
+fn accumulator_rejects_mismatched_and_overflowing_pushes() {
+    let (a, x) = (seasoned(4, 10, 1), seasoned(4, 6, 2));
+    let mut acc = TnScratch::default();
+    acc.reset(6);
+    acc.push(&a, &[&x]).unwrap();
+    for (bad_a, bad_x) in [
+        (seasoned(4, 10, 3), seasoned(4, 6, 4)), // 4 + 4 rows > 6
+        (seasoned(2, 9, 3), seasoned(2, 6, 4)),  // other m
+        (seasoned(2, 10, 3), seasoned(2, 7, 4)), // other n
+        (seasoned(2, 10, 3), seasoned(3, 6, 4)), // rows disagree
+    ] {
+        assert!(acc.push(&bad_a, &[&bad_x]).is_err());
+        assert!(acc.push(&bad_a, &[&bad_x, &bad_x]).is_err());
+        assert_eq!(acc.pending(), 4);
+    }
+    let mut wrong = Matrix::zeros(10, 7);
+    assert!(acc
+        .flush(&mut [&mut wrong], &ParallelConfig::serial())
+        .is_err());
+    let mut out = Matrix::zeros(10, 6);
+    acc.flush(&mut [&mut out], &ParallelConfig::serial())
+        .unwrap();
+    assert_eq!(out, a.matmul_tn_naive(&x).unwrap());
 }
 
 /// Shapes whose product spans several row blocks of the fused entry's
@@ -346,6 +502,19 @@ proptest! {
     ) {
         let k = if deep { simd::KC + 1 + 7 * k } else { k };
         check_fused_tn(m, k, n, seed);
+    }
+
+    /// The accumulator on small random chunks: both sides of
+    /// `PACK_MIN_FLOPS`, ragged cuts, with and without spare room.
+    #[test]
+    fn accumulator_matches_stacked_product_on_random_chunks(
+        (m, n1, n2) in (1usize..40, 1usize..40, 1usize..40),
+        cuts in proptest::collection::vec(1usize..12, 1..6),
+        spare in 0usize..9,
+        seed in 5000u64..6000
+    ) {
+        let depth = cuts.iter().sum::<usize>() + spare;
+        check_accumulator(m, (n1, n2), &cuts, depth, seed);
     }
 
     #[test]

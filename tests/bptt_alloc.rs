@@ -8,10 +8,14 @@
 //! allocations as large as `δW` in a whole `backward_sequence_ws` sweep
 //! are the two matrices of the returned gradient. (eta-lint's H1 rule
 //! exempts the sequence drivers' bodies, which is where a per-cell
-//! `CellGrads::zeros_like` once hid.)
+//! `CellGrads::zeros_like` once hid.) And a training step forms no
+//! input gradient for the bottom layer: nothing `[batch, in]`-sized is
+//! allocated at all.
 
 use eta_lstm::core::layer::{Instruments, LstmLayer, StorageMode};
+use eta_lstm::core::model::{LstmModel, StepPlan};
 use eta_lstm::core::workspace::{LayerPanels, Workspace};
+use eta_lstm::core::{LstmConfig, Targets};
 use eta_lstm::tensor::{init, Matrix, ParallelConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,6 +24,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// (nothing can be that large) while disarmed.
 static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
 static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Allocations of exactly this many bytes are counted too; 0 while
+/// disarmed.
+static EXACT: AtomicUsize = AtomicUsize::new(0);
+static EXACT_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 /// Forwards to [`System`] and counts the large requests.
 struct CountLarge;
@@ -28,6 +36,9 @@ fn note(size: usize) {
     // Relaxed: a statistic read after the sweep's threads have joined.
     if size >= THRESHOLD.load(Ordering::Relaxed) {
         LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+    if size == EXACT.load(Ordering::Relaxed) {
+        EXACT_ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -74,8 +85,7 @@ static GLOBAL: CountLarge = CountLarge;
 #[test]
 fn backward_sweep_allocates_nothing_weight_sized_but_the_returned_gradient() {
     // input < hidden: δW `[4H, in]` is the smaller of the two weight
-    // gradients, and the two GEMMs of a cell differ in shape, so the
-    // shared scratch is re-shaped twice per cell.
+    // gradients, and the two products of a flush differ in shape.
     let (seq, batch, input, hidden) = (6usize, 8usize, 96usize, 128usize);
     let dw_bytes = 4 * hidden * input * std::mem::size_of::<f32>();
     let layer = LstmLayer::new(input, hidden, 3);
@@ -139,6 +149,40 @@ fn backward_sweep_allocates_nothing_weight_sized_but_the_returned_gradient() {
             kernel.threads
         );
         assert_eq!(back.grads, warm.grads, "a warm workspace changes no bit");
-        assert!(back.magnitudes.iter().all(|&m| m > 0.0));
     }
+
+    // A one-layer model's step: its only layer is the bottom one, and a
+    // `δX_t` would be the step's only `[batch, input]` allocation (the
+    // inputs exist already; every other matrix is `H`-, `4H`- or
+    // `out`-wide).
+    let config = LstmConfig::builder()
+        .input_size(input)
+        .hidden_size(hidden)
+        .layers(1)
+        .seq_len(seq)
+        .batch_size(batch)
+        .output_size(5)
+        .build()
+        .expect("valid config");
+    let model = LstmModel::new(&config, 3);
+    let targets = Targets::Classes((0..batch).map(|r| r % 5).collect());
+    let mut ws = Workspace::new();
+    let mut step = || {
+        model
+            .train_step_ws(&xs, &targets, &StepPlan::baseline(), &inst, None, &mut ws)
+            .expect("step")
+    };
+    step();
+    EXACT_ALLOCS.store(0, Ordering::Relaxed);
+    EXACT.store(
+        batch * input * std::mem::size_of::<f32>(),
+        Ordering::Relaxed,
+    );
+    step();
+    EXACT.store(0, Ordering::Relaxed);
+    assert_eq!(
+        EXACT_ALLOCS.load(Ordering::Relaxed),
+        0,
+        "[batch, input]-sized allocations in a step whose bottom layer needs no dx"
+    );
 }

@@ -166,8 +166,13 @@ fn reference_cell_matches_production_cell_above_the_packing_threshold() {
     }
 
     // Production: cached panels, one workspace reused across both sweeps.
+    // The oracle adds one product per cell, so the sweep is asked for
+    // that association (per-cell magnitudes); summed a chunk of cells at
+    // a time, δW/δU agree only to the reordering floor
+    // (`layer::tests::sequence_paths_*_mid_scale` pins that side).
     let kernel = ParallelConfig::serial();
-    let inst = Instruments::new();
+    let mut inst = Instruments::new();
+    inst.per_cell_magnitudes = true;
     let panels = LayerPanels::pack_with(&layer.params, &kernel);
     let mut ws = Workspace::new();
     let tape = layer
