@@ -43,6 +43,13 @@
 
 #![forbid(unsafe_code)]
 #![deny(unused_assignments)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod cell;
 pub mod config;

@@ -312,6 +312,10 @@ pub fn train_step_sharded_ws(
         }
     }
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "times the reduce for `reduce_seconds`, a report field no arithmetic reads"
+    )]
     let reduce_start = std::time::Instant::now();
     let _reduce_span = instruments.span("reduce");
     // Pre-scale each shard by its batch fraction: per-shard losses and

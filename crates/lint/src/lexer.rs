@@ -510,8 +510,8 @@ mod tests {
 
     #[test]
     fn tuple_field_chains() {
-        // `x.0.1` — the lexer yields `0.1` as one number; the parser
-        // splits it back into two field accesses.
+        // `x.0.1` — the lexer yields `0.1` as one number; no rule reads
+        // tuple-field chains, so it stays one token.
         let toks = kinds("x.0.1");
         assert_eq!(toks[2], (TokKind::Num, "0.1".into()));
     }

@@ -1,35 +1,24 @@
-//! The token-level eta-lint rules, evaluated over lexed token streams.
+//! The eta-lint rules, evaluated over lexed token streams.
 //!
 //! | rule | contract                                                        |
 //! |------|-----------------------------------------------------------------|
-//! | D1   | no hash-ordered collections in numeric crates                   |
-//! | D2   | no entropy-seeded RNG construction outside telemetry/bench/prof |
 //! | A1   | every `unsafe` carries a nearby `// SAFETY:` comment            |
+//! | A2   | an `unsafe` call into a `#[target_feature]` fn or an intrinsic, |
+//! |      | made outside a `#[target_feature]` fn, sits in the then-branch  |
+//! |      | of an `if is_x86_feature_detected!(…)`                          |
 //! | T1   | telemetry key literals must come from the central registry      |
+//! | S3   | registered telemetry keys are emitted somewhere (a warning)     |
 //!
-//! D1–D2 mechanically encode the DESIGN.md §8 determinism contract:
-//! bit-identical losses at any thread count require that no numeric
-//! path observes hash iteration order or entropy.
-//!
-//! Three former token rules graduated to semantic analyses over the
-//! AST and call graph (see [`crate::semantic`]): the P1 panic audit
-//! became S1 panic-reachability (only sites a public numeric API can
-//! actually reach are reported, with the call chain), D2's wall-clock
-//! half became S2 nondeterminism taint (a clock read is fine until
-//! its value flows into a tensor buffer — telemetry timing stays
-//! legal without a blanket exemption), and D3's unordered-reduction
-//! scan became part of C2 deterministic-merge-order (the semantic
-//! version peels real receiver chains instead of back-scanning 80
-//! tokens, resolves hash-typed bases through param and `let` types,
-//! and also catches channels, atomic float accumulation, and
-//! cross-closure write/read overlap).
+//! The rest of the determinism contract (DESIGN.md §8) has stock lints
+//! and is configured in the root `clippy.toml`; DESIGN.md §9 maps every
+//! rule to the check that holds it.
 
 use crate::lexer::{Tok, TokKind};
 use std::collections::BTreeSet;
 
 /// One diagnostic. `file` is workspace-root-relative with `/`
 /// separators; `line` is 1-indexed.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub rule: String,
     pub file: String,
@@ -39,34 +28,29 @@ pub struct Finding {
 
 /// Where a file sits in the workspace; decides which rules apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScopeKind {
-    /// `crates/<n>/src/**` or root `src/**` — full rule set.
+pub(crate) enum ScopeKind {
+    /// `crates/<n>/src/**` or root `src/**`.
     Lib,
-    /// `crates/<n>/src/bin/**` — harness binaries: A1 + T1 only.
+    /// `crates/<n>/src/bin/**` — harness binaries.
     Bin,
-    /// `tests/`, `benches/`, `examples/` — A1 + T1 only.
+    /// `tests/`, `benches/`, `examples/`.
     Test,
-    /// `shims/**` — emulations of third-party crates: A1 only.
+    /// `shims/**` — emulations of third-party crates: A1 and A2 only.
     Shim,
 }
 
 #[derive(Debug, Clone)]
-pub struct FileScope {
-    pub crate_name: String,
-    pub kind: ScopeKind,
+pub(crate) struct FileScope {
+    crate_name: String,
+    kind: ScopeKind,
 }
 
-/// Crates whose arithmetic feeds training numerics; D1, the semantic
-/// S1/S2 sink rules, and the concurrency C2/C3 discipline apply.
-pub const NUMERIC_CRATES: &[&str] = &["tensor", "core", "accel", "memsim"];
-/// Crates allowed to read wall clocks and construct entropy RNGs.
-pub const D2_EXEMPT_CRATES: &[&str] = &["telemetry", "bench", "prof"];
 /// Telemetry itself defines the key registry; T1 checks everyone else.
 const T1_EXEMPT_CRATES: &[&str] = &["telemetry"];
 
 /// Telemetry registry/snapshot methods whose first argument is a
 /// metric key string.
-pub const T1_METHODS: &[&str] = &[
+const T1_METHODS: &[&str] = &[
     "incr",
     "incr_with",
     "gauge",
@@ -80,40 +64,25 @@ pub const T1_METHODS: &[&str] = &[
 /// Classifies a root-relative path. Returns `None` for files the
 /// lint has no opinion on (nothing outside these trees holds Rust
 /// source in this workspace).
-pub fn classify(rel_path: &str) -> Option<FileScope> {
+pub(crate) fn classify(rel_path: &str) -> Option<FileScope> {
     let parts: Vec<&str> = rel_path.split('/').collect();
-    let scope = match parts.as_slice() {
-        ["shims", name, ..] => FileScope {
-            crate_name: format!("shim:{name}"),
-            kind: ScopeKind::Shim,
-        },
-        ["crates", name, "src", "bin", ..] => FileScope {
-            crate_name: (*name).to_string(),
-            kind: ScopeKind::Bin,
-        },
-        ["crates", name, "src", ..] => FileScope {
-            crate_name: (*name).to_string(),
-            kind: ScopeKind::Lib,
-        },
-        ["crates", name, "tests" | "benches" | "examples", ..] => FileScope {
-            crate_name: (*name).to_string(),
-            kind: ScopeKind::Test,
-        },
-        ["src", ..] => FileScope {
-            crate_name: "root".to_string(),
-            kind: ScopeKind::Lib,
-        },
-        ["tests" | "benches" | "examples", ..] => FileScope {
-            crate_name: "root".to_string(),
-            kind: ScopeKind::Test,
-        },
+    let (crate_name, kind) = match parts.as_slice() {
+        ["shims", name, ..] => (format!("shim:{name}"), ScopeKind::Shim),
+        ["crates", name, "src", "bin", ..] => (name.to_string(), ScopeKind::Bin),
+        ["crates", name, "src", ..] => (name.to_string(), ScopeKind::Lib),
+        ["crates", name, "tests" | "benches" | "examples", ..] => {
+            (name.to_string(), ScopeKind::Test)
+        }
+        ["src", ..] => ("root".to_string(), ScopeKind::Lib),
+        ["tests" | "benches" | "examples", ..] => ("root".to_string(), ScopeKind::Test),
         _ => return None,
     };
-    Some(scope)
+    Some(FileScope { crate_name, kind })
 }
 
-/// Lints one file's source. `registry` holds every key string defined
-/// in `crates/telemetry/src/keys.rs`.
+/// Lints one file's source with the per-file rules (A1, A2, T1).
+/// `registry` holds every key string defined in
+/// `crates/telemetry/src/keys.rs`.
 pub fn lint_source(rel_path: &str, src: &str, registry: &BTreeSet<String>) -> Vec<Finding> {
     let Some(scope) = classify(rel_path) else {
         return Vec::new();
@@ -124,24 +93,10 @@ pub fn lint_source(rel_path: &str, src: &str, registry: &BTreeSet<String>) -> Ve
     // A1 runs on the full stream (it needs the comments).
     rule_a1(rel_path, &toks, &mut findings);
 
-    // Everything else runs on code tokens with `#[cfg(test)]` items
-    // masked out: the determinism contract binds production numerics,
-    // not assertions.
     let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
-    let test_mask = cfg_test_mask(&code);
-
+    rule_a2(rel_path, &code, &cfg_test_mask(&code), &mut findings);
     if scope.kind != ScopeKind::Shim && !T1_EXEMPT_CRATES.contains(&scope.crate_name.as_str()) {
         rule_t1(rel_path, &code, registry, &mut findings);
-    }
-
-    if scope.kind == ScopeKind::Lib {
-        let numeric = NUMERIC_CRATES.contains(&scope.crate_name.as_str());
-        if numeric {
-            rule_d1(rel_path, &code, &test_mask, &mut findings);
-        }
-        if !D2_EXEMPT_CRATES.contains(&scope.crate_name.as_str()) {
-            rule_d2(rel_path, &code, &test_mask, &mut findings);
-        }
     }
 
     findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
@@ -152,63 +107,59 @@ pub fn lint_source(rel_path: &str, src: &str, registry: &BTreeSet<String>) -> Ve
 /// always `mod tests { … }`). The attribute's tokens, any stacked
 /// attributes after it, and the item body through its matching brace
 /// (or terminating `;`) are all masked.
-pub(crate) fn cfg_test_mask(code: &[&Tok]) -> Vec<bool> {
+fn cfg_test_mask(code: &[&Tok]) -> Vec<bool> {
     let mut mask = vec![false; code.len()];
     let mut i = 0;
     while i < code.len() {
-        if matches!(code.get(i), Some(t) if t.is_punct('#'))
-            && matches!(code.get(i + 1), Some(t) if t.is_punct('['))
-        {
-            let attr_end = match matching_close(code, i + 1, '[', ']') {
-                Some(e) => e,
-                None => break,
-            };
-            let body: Vec<&str> = code
-                .iter()
-                .take(attr_end + 1)
-                .skip(i)
-                .map(|t| t.text.as_str())
-                .collect();
-            if body.contains(&"cfg") && body.contains(&"test") {
-                // Mask the attribute, any following attributes, and
-                // the annotated item.
-                let mut j = attr_end + 1;
-                while matches!(code.get(j), Some(t) if t.is_punct('#'))
-                    && matches!(code.get(j + 1), Some(t) if t.is_punct('['))
-                {
-                    match matching_close(code, j + 1, '[', ']') {
-                        Some(e) => j = e + 1,
-                        None => break,
-                    }
-                }
-                let mut end = j;
-                while let Some(t) = code.get(end) {
-                    if t.is_punct(';') {
-                        break;
-                    }
-                    if t.is_punct('{') {
-                        end = matching_close(code, end, '{', '}').unwrap_or(code.len() - 1);
-                        break;
-                    }
-                    end += 1;
-                }
-                let end = end.min(code.len().saturating_sub(1));
-                for m in mask.iter_mut().take(end + 1).skip(i) {
-                    *m = true;
-                }
-                i = end + 1;
-                continue;
-            }
+        let Some(attr_end) = attr_at(code, i) else {
+            i += 1;
+            continue;
+        };
+        let attr = &code[i..=attr_end];
+        if !(attr.iter().any(|t| t.is_ident("cfg")) && attr.iter().any(|t| t.is_ident("test"))) {
             i = attr_end + 1;
             continue;
         }
-        i += 1;
+        let mut end = attr_end + 1;
+        while let Some(e) = attr_at(code, end) {
+            end = e + 1;
+        }
+        while let Some(t) = code.get(end) {
+            if t.is_punct(';') {
+                break;
+            }
+            if t.is_punct('{') {
+                end = matching_close(code, end).unwrap_or(code.len() - 1);
+                break;
+            }
+            end += 1;
+        }
+        let end = end.min(code.len() - 1);
+        mask[i..=end].fill(true);
+        i = end + 1;
     }
     mask
 }
 
-/// Index of the token closing the group opened at `open_idx`.
-fn matching_close(code: &[&Tok], open_idx: usize, open: char, close: char) -> Option<usize> {
+/// End index of the `#[…]` attribute starting at `i`, if one does.
+fn attr_at(code: &[&Tok], i: usize) -> Option<usize> {
+    let is = |j: usize, c: char| code.get(j).is_some_and(|t| t.is_punct(c));
+    if is(i, '#') && is(i + 1, '[') {
+        matching_close(code, i + 1)
+    } else {
+        None
+    }
+}
+
+/// Index of the token closing the `{`/`[`/`(` group opened at `open_idx`.
+fn matching_close(code: &[&Tok], open_idx: usize) -> Option<usize> {
+    let open = code.get(open_idx)?.text.chars().next()?;
+    let close = match open {
+        '{' => '}',
+        '[' => ']',
+        '(' => ')',
+        _ => return None,
+    };
     let mut depth = 0usize;
     for (k, t) in code.iter().enumerate().skip(open_idx) {
         if t.is_punct(open) {
@@ -223,81 +174,13 @@ fn matching_close(code: &[&Tok], open_idx: usize, open: char, close: char) -> Op
     None
 }
 
-/// Token at `i - back`, if any (checked two ways: underflow and range).
+/// Token at `i - back`, if any.
 fn before<'a>(code: &[&'a Tok], i: usize, back: usize) -> Option<&'a Tok> {
     i.checked_sub(back).and_then(|j| code.get(j)).copied()
 }
 
-fn masked(mask: &[bool], i: usize) -> bool {
-    mask.get(i).copied().unwrap_or(false)
-}
-
-fn is_path_seg(code: &[&Tok], i: usize, prev: &str, name: &str) -> bool {
-    // Matches `prev :: name` ending at index i.
-    matches!(code.get(i), Some(t) if t.is_ident(name))
-        && matches!(before(code, i, 1), Some(t) if t.is_punct(':'))
-        && matches!(before(code, i, 2), Some(t) if t.is_punct(':'))
-        && matches!(before(code, i, 3), Some(t) if t.is_ident(prev))
-}
-
-// ---------------------------------------------------------------------------
-// D1 — hash-ordered collections in numeric crates
-// ---------------------------------------------------------------------------
-
-fn rule_d1(file: &str, code: &[&Tok], mask: &[bool], out: &mut Vec<Finding>) {
-    for (i, t) in code.iter().enumerate() {
-        if masked(mask, i) {
-            continue;
-        }
-        if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            out.push(Finding {
-                rule: "D1".into(),
-                file: file.into(),
-                line: t.line,
-                message: format!(
-                    "{} in a numeric crate: iteration order is nondeterministic and would \
-                     break the bit-identical reduction contract (DESIGN.md \u{a7}8); use \
-                     BTreeMap/BTreeSet, or allowlist with a sorted-iteration justification",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// D2 — entropy sources outside telemetry, bench, and prof
-// ---------------------------------------------------------------------------
-//
-// Wall clocks (`Instant::now` / `SystemTime`) used to be flagged here
-// too; they are now handled by the S2 taint analysis, which only
-// reports a clock value if it actually flows into a tensor buffer.
-
-fn rule_d2(file: &str, code: &[&Tok], mask: &[bool], out: &mut Vec<Finding>) {
-    for (i, t) in code.iter().enumerate() {
-        if masked(mask, i) {
-            continue;
-        }
-        let hit = if t.is_ident("thread_rng") || t.is_ident("from_entropy") {
-            Some("entropy-seeded RNG construction")
-        } else if is_path_seg(code, i, "rand", "random") {
-            Some("rand::random()")
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            out.push(Finding {
-                rule: "D2".into(),
-                file: file.into(),
-                line: t.line,
-                message: format!(
-                    "{what} outside the telemetry/bench/prof crates: numeric code must be \
-                     replayable, so entropy sources are confined to instrumentation \
-                     (seeded `StdRng::seed_from_u64` is fine)"
-                ),
-            });
-        }
-    }
+fn is_block_edge(t: &Tok) -> bool {
+    t.is_punct(';') || t.is_punct('{') || t.is_punct('}')
 }
 
 // ---------------------------------------------------------------------------
@@ -330,19 +213,174 @@ fn rule_a1(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
+// A2 — feature-guarded entry into `#[target_feature]` code
+// ---------------------------------------------------------------------------
+//
+// Inside a `#[target_feature]` fn, rustc lets same-feature calls and
+// intrinsics through without `unsafe`; outside one it demands an
+// `unsafe` block, and that block is sound only if the CPU was asked
+// first. The rule checks the asking: the block must sit in the
+// then-branch of an `if` whose condition calls `is_x86_feature_detected!`.
+
+/// A `fn` item's name, body brace span, and whether it is
+/// `#[target_feature]`.
+struct FnSpan<'a> {
+    name: &'a str,
+    open: usize,
+    close: usize,
+    target_feature: bool,
+}
+
+fn fn_spans<'a>(code: &[&'a Tok]) -> Vec<FnSpan<'a>> {
+    let mut spans = Vec::new();
+    for (i, t) in code.iter().enumerate() {
+        if !t.is_ident("fn") {
+            continue;
+        }
+        let Some(name) = code.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
+            continue; // a `fn(…)` pointer type
+        };
+        // The item head (attributes, visibility, qualifiers) runs back
+        // to the previous statement or block edge.
+        let head_start = code[..i]
+            .iter()
+            .rposition(|t| is_block_edge(t))
+            .map_or(0, |j| j + 1);
+        let target_feature = code[head_start..i]
+            .iter()
+            .any(|t| t.is_ident("target_feature"));
+        // The body is the first `{` (or a declaration's `;`) outside the
+        // signature's brackets: `[f32; 8]` is a type, not an edge.
+        let mut depth = 0i32;
+        let Some(open) = (i..code.len()).find(|&j| {
+            let t = code[j];
+            if t.is_punct('(') || t.is_punct('[') {
+                depth += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                depth -= 1;
+            }
+            depth == 0 && is_block_edge(t)
+        }) else {
+            continue;
+        };
+        if !code[open].is_punct('{') {
+            continue; // a bodiless declaration
+        }
+        if let Some(close) = matching_close(code, open) {
+            spans.push(FnSpan {
+                name: &name.text,
+                open,
+                close,
+                target_feature,
+            });
+        }
+    }
+    spans
+}
+
+/// Whether the `{` at `open` starts the then-branch of an `if` whose
+/// condition mentions `is_x86_feature_detected`.
+fn opens_detect_guard(code: &[&Tok], open: usize) -> bool {
+    let mut depth = 0i32;
+    for j in (0..open).rev() {
+        let t = code[j];
+        if t.is_punct(')') || t.is_punct(']') {
+            depth += 1;
+        } else if t.is_punct('(') || t.is_punct('[') {
+            depth -= 1;
+        } else if depth == 0 && t.is_ident("if") {
+            return code[j..open]
+                .iter()
+                .any(|t| t.is_ident("is_x86_feature_detected"));
+        } else if depth == 0 && is_block_edge(t) {
+            return false;
+        }
+    }
+    false
+}
+
+/// Whether any block enclosing index `i` is a detect-guarded then-branch.
+fn detect_guarded(code: &[&Tok], i: usize) -> bool {
+    let mut depth = 0usize;
+    for j in (0..i).rev() {
+        if code[j].is_punct('}') {
+            depth += 1;
+        } else if code[j].is_punct('{') {
+            if depth == 0 && opens_detect_guard(code, j) {
+                return true;
+            }
+            depth = depth.saturating_sub(1);
+        }
+    }
+    false
+}
+
+fn rule_a2(file: &str, code: &[&Tok], mask: &[bool], out: &mut Vec<Finding>) {
+    let fns = fn_spans(code);
+    let tf_names: BTreeSet<&str> = fns
+        .iter()
+        .filter(|f| f.target_feature)
+        .map(|f| f.name)
+        .collect();
+    for (i, t) in code.iter().enumerate() {
+        if !t.is_ident("unsafe") || mask[i] || !code.get(i + 1).is_some_and(|n| n.is_punct('{')) {
+            continue;
+        }
+        let Some(close) = matching_close(code, i + 1) else {
+            continue;
+        };
+        let callee = (i + 2..close).map(|k| (k, code[k])).find(|&(k, c)| {
+            c.kind == TokKind::Ident
+                && (tf_names.contains(c.text.as_str()) || c.text.starts_with("_mm"))
+                && code
+                    .get(k + 1)
+                    .is_some_and(|n| n.is_punct('(') || n.is_punct(':'))
+                && !before(code, k, 1).is_some_and(|p| p.is_punct('.'))
+        });
+        let Some((_, callee)) = callee else {
+            continue;
+        };
+        let in_tf_fn = fns
+            .iter()
+            .filter(|f| f.open < i && i < f.close)
+            .max_by_key(|f| f.open)
+            .is_some_and(|f| f.target_feature);
+        if in_tf_fn || detect_guarded(code, i) {
+            continue;
+        }
+        out.push(Finding {
+            rule: "A2".into(),
+            file: file.into(),
+            line: callee.line,
+            message: format!(
+                "`{}` entered outside a #[target_feature] fn without an \
+                 `if is_x86_feature_detected!(…)` guard",
+                callee.text
+            ),
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // T1 — telemetry keys must come from the central registry
 // ---------------------------------------------------------------------------
 
+/// Index of the first argument of a telemetry emit call whose method
+/// name sits at `i` (`.gauge(…)`), if `i` is one.
+fn emit_arg(code: &[&Tok], i: usize) -> Option<usize> {
+    let t = code.get(i)?;
+    let is_emit = t.kind == TokKind::Ident
+        && T1_METHODS.contains(&t.text.as_str())
+        && before(code, i, 1)?.is_punct('.')
+        && code.get(i + 1)?.is_punct('(');
+    (is_emit && i + 2 < code.len()).then_some(i + 2)
+}
+
 fn rule_t1(file: &str, code: &[&Tok], registry: &BTreeSet<String>, out: &mut Vec<Finding>) {
-    for (i, t) in code.iter().enumerate() {
-        let is_method = t.kind == TokKind::Ident
-            && T1_METHODS.contains(&t.text.as_str())
-            && matches!(before(code, i, 1), Some(p) if p.is_punct('.'))
-            && matches!(code.get(i + 1), Some(n) if n.is_punct('('));
-        if !is_method {
+    for i in 0..code.len() {
+        let Some(arg) = emit_arg(code, i).map(|a| code[a]) else {
             continue;
-        }
-        let Some(arg) = code.get(i + 2) else { continue };
+        };
         if arg.kind != TokKind::Str {
             continue; // key comes from a const or variable — already centralized
         }
@@ -372,4 +410,63 @@ pub fn registry_keys(keys_rs_src: &str) -> BTreeSet<String> {
         .filter(|t| t.kind == TokKind::Str)
         .map(|t| t.text)
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// S3 — telemetry key liveness (advisory)
+// ---------------------------------------------------------------------------
+
+/// Warns on every `const NAME: &str = "key";` of the registry at
+/// `keys_file` that no library or binary code outside `#[cfg(test)]`
+/// emits, by literal or by a path ending in `NAME`. `sources` holds
+/// `(root-relative path, source)` pairs.
+pub fn dead_keys(keys_file: &str, keys_src: &str, sources: &[(String, String)]) -> Vec<Finding> {
+    let mut emitted = BTreeSet::new();
+    for (rel, src) in sources {
+        if !classify(rel).is_some_and(|s| matches!(s.kind, ScopeKind::Lib | ScopeKind::Bin)) {
+            continue;
+        }
+        let toks = crate::lexer::lex(src);
+        let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
+        let mask = cfg_test_mask(&code);
+        for i in (0..code.len()).filter(|&i| !mask[i]) {
+            let Some(mut a) = emit_arg(&code, i) else {
+                continue;
+            };
+            // A literal, or the last segment of a `keys::NAME` path.
+            while code.get(a + 1).is_some_and(|t| t.is_punct(':'))
+                && code.get(a + 3).is_some_and(|t| t.kind == TokKind::Ident)
+            {
+                a += 3;
+            }
+            emitted.insert(code[a].text.clone());
+        }
+    }
+
+    let toks = crate::lexer::lex(keys_src);
+    let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
+    let mut warnings = Vec::new();
+    for w in code.windows(8) {
+        let [kw, name, colon, _, _, eq, key, _] = w else {
+            continue;
+        };
+        let shape = kw.is_ident("const")
+            && name.kind == TokKind::Ident
+            && colon.is_punct(':')
+            && eq.is_punct('=')
+            && key.kind == TokKind::Str;
+        if !shape || emitted.contains(&key.text) || emitted.contains(&name.text) {
+            continue;
+        }
+        warnings.push(Finding {
+            rule: "S3".into(),
+            file: keys_file.into(),
+            line: name.line,
+            message: format!(
+                "registered telemetry key \"{}\" (const {}) is never emitted outside tests",
+                key.text, name.text
+            ),
+        });
+    }
+    warnings
 }

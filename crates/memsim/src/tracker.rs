@@ -2,6 +2,10 @@
 
 use crate::DataCategory;
 use eta_telemetry::{keys, Telemetry};
+#[allow(
+    clippy::disallowed_types,
+    reason = "SYNC: telemetry plumbing only, see the handle below"
+)]
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -140,6 +144,10 @@ struct TrackerMirror {
 /// [`SharedTracker::snapshot`] calls — keeping the per-event cost to one
 /// uncontended add (see the `telemetry_overhead` benchmark guard).
 #[derive(Debug, Clone, Default)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "SYNC: the locks guard accounting that feeds dashboards, never numeric state"
+)]
 pub struct SharedTracker {
     // SYNC: telemetry plumbing only — allocation accounting feeds
     // dashboards, never numeric state, so lock acquisition order is

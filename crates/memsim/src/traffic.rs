@@ -2,6 +2,10 @@
 
 use crate::DataCategory;
 use eta_telemetry::{keys, Telemetry};
+#[allow(
+    clippy::disallowed_types,
+    reason = "SYNC: telemetry plumbing only, see the handle below"
+)]
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -118,6 +122,10 @@ struct TrafficMirror {
 /// accumulates into the [`TrafficCounter`]; registry writes happen at
 /// [`SharedTraffic::publish`] — which [`SharedTraffic::snapshot`] calls.
 #[derive(Debug, Clone, Default)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "SYNC: the locks guard accounting that feeds dashboards, never numeric state"
+)]
 pub struct SharedTraffic {
     // SYNC: telemetry plumbing only — byte counters feed dashboards,
     // never numeric state, so lock acquisition order is unobservable

@@ -10,11 +10,16 @@
 //! `chrome://tracing`) and a collapsed-stack flamegraph text file
 //! ([`flame`], consumable by `inferno`/`flamegraph.pl`).
 //!
-//! Wall-clock reads live here by design: eta-prof is on the lint
-//! D2/S2 exemption list with telemetry — timing must never feed
-//! numerics, only reports.
+//! Wall-clock reads live here by design: like telemetry, eta-prof
+//! allows clippy's clock and lock bans crate-wide — timing must never
+//! feed numerics, only reports.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the profiler owns the clocks and the locks that collect its trace"
+)]
 
 pub mod chrome;
 pub mod flame;

@@ -6,7 +6,9 @@
 //! metric. The eta-lint `T1` rule closes the remaining gap: any
 //! string literal passed to `incr`/`gauge`/`observe`/`counter_total`/
 //! `histogram` outside this crate must appear in this file, so even
-//! literal-using call sites (tests, one-off probes) cannot drift.
+//! literal-using call sites (tests, one-off probes) cannot drift. Its
+//! converse, `S3`, warns on a key defined here that no library or
+//! binary code emits.
 //!
 //! Naming convention: `<subsystem>_<quantity>[_<unit>]`, with
 //! monotonic counters suffixed `_total`.

@@ -21,6 +21,11 @@
 //! handle can be shared across the whole stack.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "telemetry owns the run's clocks and the locks that collect its observations"
+)]
 
 pub mod keys;
 mod manifest;

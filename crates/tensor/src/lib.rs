@@ -27,6 +27,13 @@
 
 #![deny(unsafe_code)]
 #![deny(unused_assignments)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod activation;
 pub mod init;
@@ -36,7 +43,8 @@ pub mod matrix;
 pub mod pack;
 pub mod parallel;
 // The only `unsafe` in the numeric crates: `std::arch` intrinsics behind
-// runtime feature detection (eta-lint A1/A2 check each block).
+// runtime feature detection (eta-lint A1 checks each block's `// SAFETY:`
+// comment, A2 that each entry sits behind `is_x86_feature_detected!`).
 #[allow(unsafe_code)]
 pub mod simd;
 pub mod sparse;

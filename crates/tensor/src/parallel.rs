@@ -18,7 +18,8 @@
 //!
 //! The row panels are disjoint because the borrow checker says so
 //! (`chunks_mut`; the crate denies `unsafe_code` outside `simd`), and
-//! eta-lint's C2/C3 pin any cross-thread value to the post-join
+//! clippy's `disallowed_types` (locks, atomics, channels; see
+//! `clippy.toml`) pin any cross-thread value to the post-join
 //! sequential merge; spawn sites additionally clamp their worker count
 //! to `rayon::current_num_threads()` — the in-tree rayon shim backs
 //! every spawn with an OS thread and debug-asserts a per-scope spawn

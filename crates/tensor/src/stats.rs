@@ -15,6 +15,11 @@
 //! [`snapshot`]s rather than read absolutes, since parallel tests in
 //! the same process also advance them.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "SYNC: telemetry counters, read only by diffing snapshots"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // SYNC: monotonic telemetry counters read only by diffing snapshots;

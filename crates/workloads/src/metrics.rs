@@ -2,6 +2,10 @@
 //! classification accuracy, perplexity, mean absolute error, and BLEU.
 
 use eta_tensor::Matrix;
+#[allow(
+    clippy::disallowed_types,
+    reason = "n-gram counts are summed as integers, so iteration order cannot move BLEU"
+)]
 use std::collections::HashMap;
 
 /// Perplexity from a mean cross-entropy (natural-log) loss:
@@ -87,6 +91,10 @@ pub fn bleu(candidates: &[Vec<u32>], references: &[Vec<u32>], max_n: usize) -> f
     bp * geo_mean
 }
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "n-gram counts are summed as integers, so iteration order cannot move BLEU"
+)]
 fn ngram_counts(seq: &[u32], n: usize) -> HashMap<&[u32], u64> {
     let mut counts = HashMap::new();
     if seq.len() >= n {

@@ -4,6 +4,11 @@
 //! `lock()` returns a guard directly (recovering from poisoning, which
 //! parking_lot does not track at all).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "this shim is the lock the workspace's telemetry mirrors use"
+)]
+
 use std::fmt;
 use std::sync::{self, MutexGuard as StdGuard};
 

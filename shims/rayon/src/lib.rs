@@ -62,10 +62,11 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     ///
     /// # Data races do not compile
     ///
-    /// The numeric crates forbid `unsafe_code`, so the `Send + 'scope`
-    /// bound above plus the borrow checker is the whole race detector
-    /// (these were eta-lint's C1/C2-overlap fail fixtures). Two tasks
-    /// sharing one `&mut`:
+    /// The numeric crates forbid `unsafe_code` and clippy bans their
+    /// locks and atomics (`clippy.toml`), so the `Send + 'scope` bound
+    /// above plus the borrow checker is the whole race detector: each
+    /// example below is rejected at compile time. Two tasks sharing one
+    /// `&mut`:
     ///
     /// ```compile_fail,E0382
     /// pub fn bad(out: &mut Vec<f32>) {
@@ -178,6 +179,10 @@ where
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the tests count spawned tasks across threads"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -13,6 +13,11 @@
 //! slower than real serde but entirely sufficient for checkpointing,
 //! telemetry streams, and tests.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "serde implements its traits for the std hash collections"
+)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 

@@ -1,17 +1,27 @@
-//! BPTT never materialises a weight-sized tensor per cell.
+//! The per-timestep kernels allocate nothing once warm, and BPTT never
+//! materialises a weight-sized tensor per cell.
 //!
-//! The paper's accelerator sums the per-cell outer products of Eq. 3 in
-//! a streaming accumulator; the software analogue is that a backward
-//! sweep adds every cell's `δW`/`δU` straight into the layer's gradient.
-//! This file pins it from outside the libraries, with a counting global
-//! allocator of its own: once the workspace is warm, the only
-//! allocations as large as `δW` in a whole `backward_sequence_ws` sweep
-//! are the two matrices of the returned gradient. (eta-lint's H1 rule
-//! exempts the sequence drivers' bodies, which is where a per-cell
-//! `CellGrads::zeros_like` once hid.) And a training step forms no
+//! This file pins both from outside the libraries, with a counting
+//! global allocator of its own. A warm `cell::forward_ws` makes no
+//! allocation at all, on the scalar tier and on the packed one: its
+//! record and preactivation buffer are reused, so a `vec![…]` or a
+//! `Matrix::zeros` slipped into the cell shows up here. The paper's
+//! accelerator sums the per-cell outer products of Eq. 3 in a streaming
+//! accumulator; the software analogue is that a backward sweep adds
+//! every cell's `δW`/`δU` straight into the layer's gradient, so once
+//! the workspace is warm the only allocations as large as `δW` in a
+//! whole `backward_sequence_ws` sweep are the two matrices of the
+//! returned gradient (a per-cell `CellGrads::zeros_like` in the
+//! sequence driver's body once hid here). And a training step forms no
 //! input gradient for the bottom layer: nothing `[batch, in]`-sized is
 //! allocated at all.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the counting allocator's counters are atomics"
+)]
+
+use eta_lstm::core::cell::{self, CellForward, CellParams};
 use eta_lstm::core::layer::{Instruments, LstmLayer, StorageMode};
 use eta_lstm::core::model::{LstmModel, StepPlan};
 use eta_lstm::core::workspace::{LayerPanels, Workspace};
@@ -84,6 +94,48 @@ static GLOBAL: CountLarge = CountLarge;
 /// counter is armed.
 #[test]
 fn backward_sweep_allocates_nothing_weight_sized_but_the_returned_gradient() {
+    let inst = Instruments::new();
+
+    // Forward twin: ten warm cell steps allocate nothing, below and
+    // above `PACK_MIN_FLOPS`.
+    for (batch, input, hidden) in [(4usize, 24usize, 24usize), (32, 512, 512)] {
+        let kernel = ParallelConfig::serial();
+        let params = CellParams::new(input, hidden, 5);
+        let panels = LayerPanels::pack_with(&params, &kernel);
+        let x = init::uniform(batch, input, -1.0, 1.0, 11);
+        let h_prev = init::uniform(batch, hidden, -1.0, 1.0, 12);
+        let s_prev = init::uniform(batch, hidden, -1.0, 1.0, 13);
+        let mut preact = Matrix::zeros(0, 0);
+        let mut out = CellForward::empty();
+        let mut step = || {
+            cell::forward_ws(
+                &params,
+                &panels,
+                &x,
+                &h_prev,
+                &s_prev,
+                &kernel,
+                &mut preact,
+                &inst,
+                &mut out,
+            )
+            .expect("forward")
+        };
+        step();
+        LARGE_ALLOCS.store(0, Ordering::Relaxed);
+        THRESHOLD.store(0, Ordering::Relaxed);
+        for _ in 0..10 {
+            step();
+        }
+        THRESHOLD.store(usize::MAX, Ordering::Relaxed);
+        assert_eq!(
+            LARGE_ALLOCS.load(Ordering::Relaxed),
+            0,
+            "allocations in 10 warm forward_ws calls at batch {batch}, input {input}, \
+             hidden {hidden}"
+        );
+    }
+
     // input < hidden: δW `[4H, in]` is the smaller of the two weight
     // gradients, and the two products of a flush differ in shape.
     let (seq, batch, input, hidden) = (6usize, 8usize, 96usize, 128usize);
@@ -95,7 +147,6 @@ fn backward_sweep_allocates_nothing_weight_sized_but_the_returned_gradient() {
     let dys: Vec<Matrix> = (0..seq)
         .map(|t| init::uniform(batch, hidden, -0.1, 0.1, 70 + t as u64))
         .collect();
-    let inst = Instruments::new();
 
     let mut forced = ParallelConfig::with_threads(2);
     forced.min_kernel_flops = 1;

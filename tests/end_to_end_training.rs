@@ -60,6 +60,10 @@ fn ms1_zero_threshold_is_bit_exact_over_epochs() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_types,
+    reason = "a lookup table of per-strategy peaks; nothing iterates it"
+)]
 fn footprint_ordering_matches_paper() {
     // Peak intermediate footprint: baseline > MS1 > Combine-MS, and
     // baseline > MS2 (after warm-up).

@@ -1,12 +1,6 @@
-//! Workspace gate: `cargo test` fails if the eta-lint static-analysis
-//! pass reports any unsuppressed finding, if `lint.toml` fails to
-//! parse (unknown rule, missing reason, entry pointing at a file that
-//! no longer exists), or if an allowlist entry has gone stale and
-//! matches nothing.
-//!
-//! This is the same pass CI runs via `cargo run -p eta-lint`; keeping
-//! it under `cargo test` means the determinism/numeric-safety contract
-//! is enforced even in environments that never run the CI workflow.
+//! Workspace gate: `cargo test` fails if the eta-lint pass (A1, A2,
+//! T1, R1; see `crates/lint`) reports any finding. The rest of the
+//! determinism contract is clippy's, configured in `clippy.toml`.
 
 use std::path::Path;
 
@@ -14,20 +8,14 @@ use std::path::Path;
 fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = eta_lint::lint_workspace(root)
-        .unwrap_or_else(|e| panic!("eta-lint configuration error: {e}"));
+        .unwrap_or_else(|e| panic!("eta-lint could not read the workspace: {e}"));
     assert!(
         !report.files.is_empty(),
         "lint walked no files; workspace root detection is broken"
     );
     assert!(
         report.is_clean(),
-        "eta-lint found unsuppressed violations; fix them or add a \
-         justified entry to lint.toml:\n{}",
+        "eta-lint found violations; fix them:\n{}",
         report.render_text()
-    );
-    assert!(
-        report.unused_allowlist.is_empty(),
-        "stale lint.toml entries match no finding; delete them:\n{:#?}",
-        report.unused_allowlist
     );
 }
