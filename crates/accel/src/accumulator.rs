@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Pipeline latency (cycles) of the FP32 adder in the paper's design.
-pub const PAPER_ADD_LATENCY: u32 = 8;
+pub(crate) const PAPER_ADD_LATENCY: u32 = 8;
 
 /// One row of the Fig. 11-style timing chart.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,7 +98,7 @@ impl AccumulatorSim {
     /// Returns the exact cycle count, the sum, and the issue log. For an
     /// empty stream the sum is `0.0` in zero cycles; a single value
     /// passes through without touching the adder.
-    pub fn run_labeled(&self, values: &[f32], labels: &[String]) -> AccumulationRun {
+    pub(crate) fn run_labeled(&self, values: &[f32], labels: &[String]) -> AccumulationRun {
         assert_eq!(values.len(), labels.len(), "label count mismatch");
         let n = values.len();
         if n == 0 {
@@ -193,7 +193,8 @@ impl AccumulatorSim {
 
     /// Cycle count for accumulating `n` inputs (values irrelevant to
     /// timing).
-    pub fn cycles_for(&self, n: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cycles_for(&self, n: usize) -> u64 {
         self.run(&vec![1.0f32; n]).cycles
     }
 }

@@ -28,7 +28,7 @@ pub struct CellWeights {
 
 impl CellWeights {
     /// Hidden width `H`.
-    pub fn hidden(&self) -> usize {
+    pub(crate) fn hidden(&self) -> usize {
         self.u.cols()
     }
 }
@@ -199,30 +199,6 @@ impl ChannelCellEngine {
             p1_compressed_bytes,
         }
     }
-
-    /// Executes a whole sequence for one sample, returning the per-step
-    /// outputs and the total stats.
-    pub fn execute_sequence(
-        &mut self,
-        weights: &CellWeights,
-        xs: &[Vec<f32>],
-    ) -> (Vec<CellOutputs>, ChannelStats, u64) {
-        let h = weights.hidden();
-        let mut h_prev = vec![0.0f32; h];
-        let mut s_prev = vec![0.0f32; h];
-        let mut outputs = Vec::with_capacity(xs.len());
-        let mut stats = ChannelStats::default();
-        let mut bytes = 0u64;
-        for x in xs {
-            let exec = self.execute(weights, x, &h_prev, &s_prev);
-            stats.merge(&exec.stats);
-            bytes += exec.p1_compressed_bytes;
-            h_prev = exec.outputs.h.clone();
-            s_prev = exec.outputs.s.clone();
-            outputs.push(exec.outputs);
-        }
-        (outputs, stats, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -285,20 +261,6 @@ mod tests {
         let mut engine = ChannelCellEngine::baseline();
         let exec = engine.execute(&w, &[0.1, 0.2, 0.3, 0.4], &[0.0; 4], &[0.0; 4]);
         assert_eq!(exec.p1_compressed_bytes, 0);
-    }
-
-    #[test]
-    fn sequence_execution_chains_state() {
-        let w = weights(4, 4, 17);
-        let mut engine = ChannelCellEngine::baseline();
-        let xs: Vec<Vec<f32>> = (0..5)
-            .map(|t| (0..4).map(|i| ((t + i) as f32 - 3.0) / 3.0).collect())
-            .collect();
-        let (outs, stats, _) = engine.execute_sequence(&w, &xs);
-        assert_eq!(outs.len(), 5);
-        assert!(stats.cycles > 0);
-        // The state must evolve (not stay at the first step's value).
-        assert_ne!(outs[0].s, outs[4].s);
     }
 
     #[test]

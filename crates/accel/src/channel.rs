@@ -9,34 +9,34 @@ use eta_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// PEs per channel (paper: 32).
-pub const PES_PER_CHANNEL: usize = 32;
+pub(crate) const PES_PER_CHANNEL: usize = 32;
 
 /// Entries in each activation lookup table.
-pub const ACT_LUT_ENTRIES: usize = 2048;
+pub(crate) const ACT_LUT_ENTRIES: usize = 2048;
 
 /// Input range covered by the activation lookup tables.
-pub const ACT_LUT_RANGE: f32 = 8.0;
+pub(crate) const ACT_LUT_RANGE: f32 = 8.0;
 
 /// Cycle/op counters from one channel-level kernel execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ChannelStats {
     /// Makespan cycles of the kernel on this channel.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Busy PE-cycles (for utilization accounting).
-    pub busy_pe_cycles: u64,
+    pub(crate) busy_pe_cycles: u64,
     /// Multiplier ops across all PEs.
     pub mult_ops: u64,
     /// Adder ops across all PEs.
-    pub add_ops: u64,
+    pub(crate) add_ops: u64,
     /// Activation-unit evaluations.
-    pub act_ops: u64,
+    pub(crate) act_ops: u64,
     /// Words pushed through the broadcast queue.
-    pub broadcast_words: u64,
+    pub(crate) broadcast_words: u64,
 }
 
 impl ChannelStats {
     /// Sequentially composes another kernel's stats after this one.
-    pub fn merge(&mut self, other: &ChannelStats) {
+    pub(crate) fn merge(&mut self, other: &ChannelStats) {
         self.cycles += other.cycles;
         self.busy_pe_cycles += other.busy_pe_cycles;
         self.mult_ops += other.mult_ops;
@@ -107,7 +107,7 @@ impl Channel {
     /// # Panics
     ///
     /// Panics if the operand lengths differ.
-    pub fn ew_mul(&self, a: &[f32], b: &[f32]) -> (Vec<f32>, ChannelStats) {
+    pub(crate) fn ew_mul(&self, a: &[f32], b: &[f32]) -> (Vec<f32>, ChannelStats) {
         let (out, pe_stats) = self.pe.ew_mul(a, b);
         let stats = Self::ew_stats(a.len(), pe_stats.mult_ops, 0);
         (out, stats)
@@ -118,7 +118,7 @@ impl Channel {
     /// # Panics
     ///
     /// Panics if the operand lengths differ.
-    pub fn ew_add(&self, a: &[f32], b: &[f32]) -> (Vec<f32>, ChannelStats) {
+    pub(crate) fn ew_add(&self, a: &[f32], b: &[f32]) -> (Vec<f32>, ChannelStats) {
         let (out, pe_stats) = self.pe.ew_add(a, b);
         let stats = Self::ew_stats(a.len(), 0, pe_stats.add_ops);
         (out, stats)

@@ -11,25 +11,25 @@ use serde::{Deserialize, Serialize};
 
 /// Per-event energy constants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyConsts {
+pub(crate) struct EnergyConsts {
     /// Joules per multiply-accumulate (multiplier + adder event).
-    pub e_mac: f64,
+    pub(crate) e_mac: f64,
     /// Joules per element-wise operation (single multiplier or adder
     /// event).
-    pub e_ew: f64,
+    pub(crate) e_ew: f64,
     /// Joules per activation LUT evaluation.
-    pub e_act: f64,
+    pub(crate) e_act: f64,
     /// Joules per byte moved to/from HBM (device + PHY).
-    pub e_dram_byte: f64,
+    pub(crate) e_dram_byte: f64,
     /// Joules per byte moved through the on-board scratchpad.
-    pub e_sram_byte: f64,
+    pub(crate) e_sram_byte: f64,
     /// Static watts per FPGA board.
-    pub static_w_per_board: f64,
+    pub(crate) static_w_per_board: f64,
 }
 
 impl EnergyConsts {
     /// VCU128-class defaults (see module docs).
-    pub fn fpga_defaults() -> Self {
+    pub(crate) fn fpga_defaults() -> Self {
         EnergyConsts {
             e_mac: 10.0e-12,
             e_ew: 5.0e-12,
@@ -49,35 +49,35 @@ pub struct EnergyBreakdown {
     /// DRAM (HBM) access energy, joules.
     pub dram_j: f64,
     /// Scratchpad access energy, joules.
-    pub sram_j: f64,
+    pub(crate) sram_j: f64,
     /// Static/leakage energy over the run, joules.
     pub static_j: f64,
 }
 
 impl EnergyBreakdown {
     /// Total joules.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.compute_j + self.dram_j + self.sram_j + self.static_j
     }
 }
 
 /// Event counts feeding the energy model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct EnergyEvents {
+pub(crate) struct EnergyEvents {
     /// Multiply-accumulate operations.
-    pub macs: u64,
+    pub(crate) macs: u64,
     /// Element-wise operations.
-    pub ew_ops: u64,
+    pub(crate) ew_ops: u64,
     /// Activation evaluations.
-    pub act_ops: u64,
+    pub(crate) act_ops: u64,
     /// HBM bytes moved.
-    pub dram_bytes: u64,
+    pub(crate) dram_bytes: u64,
     /// Scratchpad bytes moved.
-    pub sram_bytes: u64,
+    pub(crate) sram_bytes: u64,
 }
 
 /// Evaluates the energy of a run of `time_s` seconds on `boards` boards.
-pub fn energy_of(
+pub(crate) fn energy_of(
     consts: &EnergyConsts,
     events: &EnergyEvents,
     time_s: f64,

@@ -19,62 +19,33 @@ use serde::{Deserialize, Serialize};
 
 /// Multiplier pipeline latency, cycles (Xilinx FP32 multiplier at
 /// 500 MHz).
-pub const MULT_LATENCY: u32 = 4;
-
-/// Operating mode of an Omni-PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PeMode {
-    /// Matrix-vector multiply-accumulate (inner product).
-    MatVec,
-    /// Element-wise multiply (also used for outer products — same
-    /// datapath, broadcast operand).
-    EwMul,
-    /// Element-wise add.
-    EwAdd,
-}
+pub(crate) const MULT_LATENCY: u32 = 4;
 
 /// Operation/cycle counters from one PE-level execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct PeStats {
+pub(crate) struct PeStats {
     /// Cycles occupied.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Multiplier operations issued.
-    pub mult_ops: u64,
+    pub(crate) mult_ops: u64,
     /// Adder operations issued.
-    pub add_ops: u64,
-}
-
-impl PeStats {
-    /// Merges another stat block into this one (sequential composition:
-    /// cycles add).
-    pub fn merge(&mut self, other: &PeStats) {
-        self.cycles += other.cycles;
-        self.mult_ops += other.mult_ops;
-        self.add_ops += other.add_ops;
-    }
+    pub(crate) add_ops: u64,
 }
 
 /// One Omni-PE.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OmniPe {
+pub(crate) struct OmniPe {
     accumulator: AccumulatorSim,
 }
 
 impl OmniPe {
-    /// Creates a PE with the given adder pipeline latency.
-    pub fn new(add_latency: u32) -> Self {
-        OmniPe {
-            accumulator: AccumulatorSim::new(add_latency),
-        }
-    }
-
     /// Inner product of two equal-length streams (MatVec mode):
     /// multiplier feeds the streaming accumulator.
     ///
     /// # Panics
     ///
     /// Panics if the operand lengths differ.
-    pub fn mac_stream(&self, a: &[f32], b: &[f32]) -> (f32, PeStats) {
+    pub(crate) fn mac_stream(&self, a: &[f32], b: &[f32]) -> (f32, PeStats) {
         assert_eq!(a.len(), b.len(), "mac_stream operand length mismatch");
         let products: Vec<f32> = a.iter().zip(b.iter()).map(|(&x, &y)| x * y).collect();
         let run = self.accumulator.run(&products);
@@ -92,7 +63,7 @@ impl OmniPe {
     /// # Panics
     ///
     /// Panics if the operand lengths differ.
-    pub fn ew_mul(&self, a: &[f32], b: &[f32]) -> (Vec<f32>, PeStats) {
+    pub(crate) fn ew_mul(&self, a: &[f32], b: &[f32]) -> (Vec<f32>, PeStats) {
         assert_eq!(a.len(), b.len(), "ew_mul operand length mismatch");
         let out: Vec<f32> = a.iter().zip(b.iter()).map(|(&x, &y)| x * y).collect();
         let stats = PeStats {
@@ -108,7 +79,7 @@ impl OmniPe {
     /// # Panics
     ///
     /// Panics if the operand lengths differ.
-    pub fn ew_add(&self, a: &[f32], b: &[f32]) -> (Vec<f32>, PeStats) {
+    pub(crate) fn ew_add(&self, a: &[f32], b: &[f32]) -> (Vec<f32>, PeStats) {
         assert_eq!(a.len(), b.len(), "ew_add operand length mismatch");
         let out: Vec<f32> = a.iter().zip(b.iter()).map(|(&x, &y)| x + y).collect();
         let stats = PeStats {
@@ -117,23 +88,6 @@ impl OmniPe {
             add_ops: a.len() as u64,
         };
         (out, stats)
-    }
-
-    /// One row of an outer product: a broadcast scalar times a vector
-    /// (EwMul datapath with the broadcast queue supplying `scalar`).
-    pub fn outer_row(&self, scalar: f32, v: &[f32]) -> (Vec<f32>, PeStats) {
-        let out: Vec<f32> = v.iter().map(|&x| scalar * x).collect();
-        let stats = PeStats {
-            cycles: MULT_LATENCY as u64 + v.len() as u64,
-            mult_ops: v.len() as u64,
-            add_ops: 0,
-        };
-        (out, stats)
-    }
-
-    /// Cycles for an `n`-element inner product (timing only).
-    pub fn mac_cycles(&self, n: usize) -> u64 {
-        MULT_LATENCY as u64 + self.accumulator.cycles_for(n)
     }
 }
 
@@ -160,40 +114,6 @@ mod tests {
         let (a, sa) = pe.ew_add(&[1.0, 2.0], &[3.0, 4.0]);
         assert_eq!(a, vec![4.0, 6.0]);
         assert_eq!(sa.mult_ops, 0);
-    }
-
-    #[test]
-    fn outer_row_broadcasts_scalar() {
-        let pe = OmniPe::default();
-        let (row, _) = pe.outer_row(2.0, &[1.0, -1.0, 0.5]);
-        assert_eq!(row, vec![2.0, -2.0, 1.0]);
-    }
-
-    #[test]
-    fn long_mac_stream_is_near_one_per_cycle() {
-        let pe = OmniPe::default();
-        let cycles = pe.mac_cycles(2048);
-        assert!(
-            (cycles as f64) < 2048.0 * 1.05,
-            "2048-MAC stream took {cycles} cycles — streaming broken"
-        );
-    }
-
-    #[test]
-    fn stats_merge_adds_fields() {
-        let mut a = PeStats {
-            cycles: 10,
-            mult_ops: 5,
-            add_ops: 4,
-        };
-        a.merge(&PeStats {
-            cycles: 3,
-            mult_ops: 2,
-            add_ops: 1,
-        });
-        assert_eq!(a.cycles, 13);
-        assert_eq!(a.mult_ops, 7);
-        assert_eq!(a.add_ops, 5);
     }
 
     #[test]

@@ -13,42 +13,33 @@
 //!
 //! Static designs size the EW group for the *peak* EW demand of the
 //! fused cell pipeline (the inference-accelerator practice, cf. ESE),
-//! not the average — [`STATIC_EW_FRACTION`].
+//! not the average — `STATIC_EW_FRACTION`.
 
 use serde::{Deserialize, Serialize};
 
 /// Fraction of PEs a static design dedicates to EW/auxiliary work,
 /// sized for the reordered forward pipeline's burst EW demand
 /// (calibrated against the paper's TREC10-based static distribution).
-pub const STATIC_EW_FRACTION: f64 = 0.40;
+pub(crate) const STATIC_EW_FRACTION: f64 = 0.40;
 
 /// Relative makespan overhead of R2A's swing-mode switches.
-pub const SWING_OVERHEAD: f64 = 0.03;
+pub(crate) const SWING_OVERHEAD: f64 = 0.03;
 
 /// Operation counts of one execution phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Workload {
     /// Multiply-accumulate operations (MatMul, outer products).
-    pub matmul_macs: u64,
+    pub(crate) matmul_macs: u64,
     /// Element-wise operations.
-    pub ew_ops: u64,
+    pub(crate) ew_ops: u64,
     /// Activation-function evaluations.
-    pub act_ops: u64,
+    pub(crate) act_ops: u64,
 }
 
 impl Workload {
-    /// Sums two workloads.
-    pub fn add(&self, other: &Workload) -> Workload {
-        Workload {
-            matmul_macs: self.matmul_macs + other.matmul_macs,
-            ew_ops: self.ew_ops + other.ew_ops,
-            act_ops: self.act_ops + other.act_ops,
-        }
-    }
-
     /// Total PE operations (MatMul + EW; activations run on the
     /// dedicated activation modules).
-    pub fn pe_ops(&self) -> u64 {
+    pub(crate) fn pe_ops(&self) -> u64 {
         self.matmul_macs + self.ew_ops
     }
 }
@@ -59,9 +50,9 @@ pub struct PhaseTiming {
     /// Makespan in cycles.
     pub cycles: f64,
     /// PE-cycles actually doing work.
-    pub busy_pe_cycles: f64,
+    pub(crate) busy_pe_cycles: f64,
     /// PE-cycles available (`cycles × PE throughput`).
-    pub capacity_pe_cycles: f64,
+    pub(crate) capacity_pe_cycles: f64,
 }
 
 impl PhaseTiming {
@@ -75,7 +66,7 @@ impl PhaseTiming {
     }
 
     /// Sequential composition of two phases.
-    pub fn then(&self, other: &PhaseTiming) -> PhaseTiming {
+    pub(crate) fn then(&self, other: &PhaseTiming) -> PhaseTiming {
         PhaseTiming {
             cycles: self.cycles + other.cycles,
             busy_pe_cycles: self.busy_pe_cycles + other.busy_pe_cycles,
@@ -112,7 +103,7 @@ pub fn simulate_static(w: &Workload, ops_per_cycle: f64, ew_fraction: f64) -> Ph
 
 /// Schedules one phase under R2A dynamic allocation with swing
 /// PEs/channels: all PEs contribute to whichever operation is ready,
-/// with [`SWING_OVERHEAD`] lost to mode switches.
+/// with `SWING_OVERHEAD` lost to mode switches.
 pub fn simulate_dynamic(w: &Workload, ops_per_cycle: f64) -> PhaseTiming {
     let cycles = w.pe_ops() as f64 / ops_per_cycle.max(1e-9) * (1.0 + SWING_OVERHEAD);
     PhaseTiming {

@@ -43,7 +43,7 @@ pub enum SegmentKind {
 
 impl SegmentKind {
     /// The paper's label for this kernel group.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SegmentKind::MatMul => "MatMul",
             SegmentKind::Ew => "EW",
@@ -73,9 +73,9 @@ impl PartialEq<SegmentKind> for &str {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Segment {
     /// Start cycle.
-    pub start: f64,
+    pub(crate) start: f64,
     /// End cycle.
-    pub end: f64,
+    pub(crate) end: f64,
     /// Which kernel ran.
     pub kind: SegmentKind,
     /// Fraction of PEs busy during the interval.
@@ -184,7 +184,7 @@ pub fn trace(cells: &[CellKernels], ops_per_cycle: f64, alloc: Alloc) -> Timelin
 ///
 /// Every segment's busy fraction is observed into the
 /// `accel_pe_busy_fraction{kind}` histogram (buckets
-/// [`crate::arch::OCCUPANCY_BUCKETS`]), and under [`Alloc::Dynamic`]
+/// `crate::arch::OCCUPANCY_BUCKETS`), and under [`Alloc::Dynamic`]
 /// each kernel-kind boundary — the moment the swing PEs hand off between
 /// the MatMul and EW groups — increments `accel_swing_handoffs_total`.
 pub fn trace_instrumented(

@@ -48,17 +48,17 @@ impl CellParams {
     }
 
     /// Hidden width `H`.
-    pub fn hidden(&self) -> usize {
+    pub(crate) fn hidden(&self) -> usize {
         self.u.cols()
     }
 
     /// Input width.
-    pub fn input(&self) -> usize {
+    pub(crate) fn input(&self) -> usize {
         self.w.cols()
     }
 
     /// Total parameter bytes (`W`, `U`, `b`).
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         self.w.size_bytes() + self.u.size_bytes() + (self.b.len() * 4) as u64
     }
 }
@@ -81,7 +81,7 @@ pub struct CellForward {
     pub s: Matrix,
     /// `tanh(s_t)` — cached because both `h_t` and the backward pass
     /// need it.
-    pub tanh_s: Matrix,
+    pub(crate) tanh_s: Matrix,
     /// Context output `h_t = o_t ⊙ tanh(s_t)`.
     pub h: Matrix,
 }
@@ -89,7 +89,7 @@ pub struct CellForward {
 impl CellForward {
     /// Bytes of the intermediates the baseline flow must keep for BP:
     /// the five paper-named tensors (`i,f,c,o,s`).
-    pub fn stored_bytes(&self) -> u64 {
+    pub(crate) fn stored_bytes(&self) -> u64 {
         self.i.size_bytes() * 5
     }
 
@@ -130,15 +130,15 @@ pub struct P1Dense {
     /// `c ⊙ i(1−i)`.
     pub p_i: Matrix,
     /// `s_{t−1} ⊙ f(1−f)`.
-    pub p_f: Matrix,
+    pub(crate) p_f: Matrix,
     /// `i ⊙ (1−c²)`.
-    pub p_c: Matrix,
+    pub(crate) p_c: Matrix,
     /// `tanh(s_t) ⊙ o(1−o)`.
-    pub p_o: Matrix,
+    pub(crate) p_o: Matrix,
     /// `o ⊙ (1−tanh²(s_t))`.
-    pub p_h: Matrix,
+    pub(crate) p_h: Matrix,
     /// `f` (the state-chain pass-through).
-    pub p_s: Matrix,
+    pub(crate) p_s: Matrix,
 }
 
 impl P1Dense {
@@ -177,7 +177,8 @@ impl P1Dense {
 
     /// A borrowed view of the six products, for handing to
     /// [`backward_ws`] without cloning.
-    pub fn as_ref(&self) -> P1Ref<'_> {
+    #[cfg(test)]
+    pub(crate) fn as_ref(&self) -> P1Ref<'_> {
         P1Ref {
             p_i: &self.p_i,
             p_f: &self.p_f,
@@ -186,11 +187,6 @@ impl P1Dense {
             p_h: &self.p_h,
             p_s: &self.p_s,
         }
-    }
-
-    /// Total dense bytes of the six streams.
-    pub fn dense_bytes(&self) -> u64 {
-        self.streams().iter().map(|m| m.size_bytes()).sum()
     }
 }
 
@@ -223,7 +219,7 @@ impl CellGrads {
 
     /// Scales all gradients in place (the MS2 convergence-aware
     /// compensation factor).
-    pub fn scale(&mut self, factor: f32) {
+    pub(crate) fn scale(&mut self, factor: f32) {
         self.dw.scale(factor);
         self.du.scale(factor);
         for v in &mut self.db {
@@ -301,7 +297,7 @@ pub fn forward(
 }
 
 /// Reference backward pass of one cell expressed over the P1 products
-/// (unfused, serial — the oracle for [`backward_ws`]).
+/// (unfused, serial — the oracle for `backward_ws`).
 ///
 /// `dh_total` is `δY_t + δH_t` (output gradient from the layer above plus
 /// context gradient from the next timestep); `ds` is the incoming state
@@ -362,19 +358,19 @@ pub fn backward(
 /// the tape (it is definitionally `f`) and the other five can live in a
 /// reused [`P1Buffers`] arena — nothing is cloned per timestep.
 #[derive(Debug, Clone, Copy)]
-pub struct P1Ref<'a> {
+pub(crate) struct P1Ref<'a> {
     /// `c ⊙ i(1−i)`.
-    pub p_i: &'a Matrix,
+    pub(crate) p_i: &'a Matrix,
     /// `s_{t−1} ⊙ f(1−f)`.
-    pub p_f: &'a Matrix,
+    pub(crate) p_f: &'a Matrix,
     /// `i ⊙ (1−c²)`.
-    pub p_c: &'a Matrix,
+    pub(crate) p_c: &'a Matrix,
     /// `tanh(s_t) ⊙ o(1−o)`.
-    pub p_o: &'a Matrix,
+    pub(crate) p_o: &'a Matrix,
     /// `o ⊙ (1−tanh²(s_t))`.
-    pub p_h: &'a Matrix,
+    pub(crate) p_h: &'a Matrix,
     /// `f` (the state-chain pass-through).
-    pub p_s: &'a Matrix,
+    pub(crate) p_s: &'a Matrix,
 }
 
 /// [`P1Dense::compute`] into reused buffers: fills `buf` with the five
@@ -387,7 +383,11 @@ pub struct P1Ref<'a> {
 ///
 /// Returns [`LstmError::BatchShape`] if `s_prev` does not match the
 /// cell's `[batch, H]` shape.
-pub fn compute_p1_into(buf: &mut P1Buffers, fw: &CellForward, s_prev: &Matrix) -> Result<()> {
+pub(crate) fn compute_p1_into(
+    buf: &mut P1Buffers,
+    fw: &CellForward,
+    s_prev: &Matrix,
+) -> Result<()> {
     let (batch, h) = (fw.i.rows(), fw.i.cols());
     if s_prev.rows() != batch || s_prev.cols() != h {
         return Err(LstmError::BatchShape {
@@ -604,7 +604,7 @@ pub fn forward_ws(
 ///
 /// Returns a shape error on inconsistent operand shapes.
 #[allow(clippy::too_many_arguments)]
-pub fn backward_ws(
+pub(crate) fn backward_ws(
     panels: &LayerPanels,
     p1: &P1Ref<'_>,
     x: &Matrix,
@@ -732,7 +732,7 @@ pub fn backward_ws(
 /// # Errors
 ///
 /// Returns a shape error if `grads` does not match the pushed cells.
-pub fn flush_weight_grads(
+pub(crate) fn flush_weight_grads(
     bwd: &mut BwdBuffers,
     grads: &mut CellGrads,
     kernel: &ParallelConfig,

@@ -19,7 +19,7 @@ pub struct GradCheck {
     /// Largest relative error across the sampled parameters.
     pub max_rel_error: f64,
     /// Parameters sampled.
-    pub samples: usize,
+    pub(crate) samples: usize,
 }
 
 impl GradCheck {

@@ -16,14 +16,14 @@ use eta_tensor::{Matrix, ParallelConfig};
 /// Carried recurrent state (`h`, `s` per layer) for streaming
 /// inference.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamingState {
+pub(crate) struct StreamingState {
     h: Vec<Matrix>,
     s: Vec<Matrix>,
 }
 
 impl StreamingState {
     /// Zero state for `model` at the given batch size.
-    pub fn zeros(model: &LstmModel, batch: usize) -> Self {
+    pub(crate) fn zeros(model: &LstmModel, batch: usize) -> Self {
         let hidden = model.config().hidden_size;
         let layers = model.config().layers;
         StreamingState {
@@ -33,7 +33,7 @@ impl StreamingState {
     }
 
     /// Batch size this state carries.
-    pub fn batch(&self) -> usize {
+    pub(crate) fn batch(&self) -> usize {
         self.h.first().map(Matrix::rows).unwrap_or(0)
     }
 
@@ -42,16 +42,10 @@ impl StreamingState {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
-    pub fn hidden(&self, l: usize) -> &Matrix {
+    #[cfg(test)]
+    pub(crate) fn hidden(&self, l: usize) -> &Matrix {
         assert!(l < self.h.len(), "layer index out of range");
         &self.h[l]
-    }
-
-    /// Resets the state to zeros (sequence boundary).
-    pub fn reset(&mut self) {
-        for m in self.h.iter_mut().chain(self.s.iter_mut()) {
-            *m = Matrix::zeros(m.rows(), m.cols());
-        }
     }
 }
 
@@ -83,13 +77,9 @@ impl<'a> StreamingSession<'a> {
     }
 
     /// The carried state (e.g. to checkpoint mid-stream).
-    pub fn state(&self) -> &StreamingState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> &StreamingState {
         &self.state
-    }
-
-    /// Resets the recurrent state (sequence boundary).
-    pub fn reset(&mut self) {
-        self.state.reset();
     }
 
     /// Consumes one timestep `[batch, input]` and returns the head
@@ -176,18 +166,6 @@ mod tests {
             let logits = session.step(x).unwrap();
             assert_eq!(logits, batch_out[t], "divergence at t={t}");
         }
-    }
-
-    #[test]
-    fn reset_restores_the_initial_distribution() {
-        let m = model();
-        let xs = sequence(&m);
-        let mut session = StreamingSession::new(&m, 3);
-        let first = session.step(&xs[0]).unwrap();
-        session.step(&xs[1]).unwrap();
-        session.reset();
-        let again = session.step(&xs[0]).unwrap();
-        assert_eq!(first, again, "reset must restore zero state");
     }
 
     #[test]

@@ -76,12 +76,12 @@ pub struct LayerTape {
     /// so when MS3 needs that cell as a segment seed its state is
     /// retained here. `Some` only at checkpoint positions under
     /// MS3 + MS1 with `k > 1`; empty otherwise.
-    pub ckpt_s: Vec<Option<Matrix>>,
+    pub(crate) ckpt_s: Vec<Option<Matrix>>,
     /// MS1 pruning threshold the tape was stored with (`None` in
     /// [`StorageMode::Dense`]): MS3's backward prunes recomputed P1
     /// products at the same threshold, so a recomputed cell matches
     /// what compress→decode would have produced bit-for-bit.
-    pub ms1_threshold: Option<f32>,
+    pub(crate) ms1_threshold: Option<f32>,
 }
 
 /// Instrumentation hooks shared across the model (footprint, traffic,
@@ -94,7 +94,7 @@ pub struct Instruments {
     pub traffic: eta_memsim::SharedTraffic,
     /// Telemetry handle for span tracing; `None` leaves every span
     /// hook a no-op.
-    pub telemetry: Option<eta_telemetry::Telemetry>,
+    pub(crate) telemetry: Option<eta_telemetry::Telemetry>,
     /// Asks every backward sweep for per-cell gradient magnitudes
     /// ([`LayerBackward::magnitudes`]), which holds the sweep to one
     /// weight-gradient GEMM per cell. Off by default; the trainer turns
@@ -121,7 +121,7 @@ impl Instruments {
     /// Instruments whose footprint and traffic events are mirrored
     /// into `telemetry` (as `memsim_*` and `dram_*` metrics) and whose
     /// span hooks open telemetry spans.
-    pub fn with_telemetry(telemetry: eta_telemetry::Telemetry) -> Self {
+    pub(crate) fn with_telemetry(telemetry: eta_telemetry::Telemetry) -> Self {
         Instruments {
             mem: eta_memsim::SharedTracker::with_telemetry(telemetry.clone()),
             traffic: eta_memsim::SharedTraffic::with_telemetry(telemetry.clone()),
@@ -849,7 +849,7 @@ impl LstmLayer {
 
     /// Aggregate P1 compression statistics across a tape (zero when the
     /// tape holds no compressed entries).
-    pub fn tape_compression_stats(tape: &LayerTape) -> CompressionStats {
+    pub(crate) fn tape_compression_stats(tape: &LayerTape) -> CompressionStats {
         let mut acc = CompressionStats::default();
         for e in &tape.entries {
             if let TapeEntry::Compressed(p) = e {

@@ -52,11 +52,11 @@
 )]
 
 pub mod cell;
-pub mod config;
+pub(crate) mod config;
 pub mod gradcheck;
 pub mod inference;
 pub mod layer;
-pub mod loss;
+pub(crate) mod loss;
 pub mod model;
 pub mod ms1;
 pub mod ms2;
@@ -65,7 +65,7 @@ pub mod optimizer;
 pub mod parallel;
 pub mod persist;
 pub mod strategy;
-pub mod trainer;
+pub(crate) mod trainer;
 pub mod workspace;
 
 mod error;

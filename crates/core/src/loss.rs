@@ -34,24 +34,14 @@ pub enum Targets {
     StepRegression(Vec<Matrix>),
 }
 
-impl Targets {
-    /// The loss structure these targets imply.
-    pub fn loss_kind(&self) -> LossKind {
-        match self {
-            Targets::Classes(_) | Targets::Regression(_) => LossKind::SingleLoss,
-            Targets::StepClasses(_) | Targets::StepRegression(_) => LossKind::PerTimestamp,
-        }
-    }
-}
-
 /// The projection head mapping the top layer's `h_t` to task outputs:
 /// a dense layer `[out, H]` plus bias.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Head {
     /// Projection weights `[out, H]`.
-    pub w: Matrix,
+    pub(crate) w: Matrix,
     /// Output biases, length `out`.
-    pub b: Vec<f32>,
+    pub(crate) b: Vec<f32>,
 }
 
 /// Gradient buffers for the head.
@@ -60,30 +50,25 @@ pub struct HeadGrads {
     /// `δW`, `[out, H]`.
     pub dw: Matrix,
     /// `δb`, length `out`.
-    pub db: Vec<f32>,
+    pub(crate) db: Vec<f32>,
 }
 
 impl Head {
     /// Xavier-initialized head.
-    pub fn new(hidden: usize, out: usize, seed: u64) -> Self {
+    pub(crate) fn new(hidden: usize, out: usize, seed: u64) -> Self {
         Head {
             w: init::xavier_uniform(out, hidden, seed),
             b: vec![0.0; out],
         }
     }
 
-    /// Output width.
-    pub fn output(&self) -> usize {
-        self.w.rows()
-    }
-
     /// Parameter bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         self.w.size_bytes() + (self.b.len() * 4) as u64
     }
 
     /// Zeroed gradient buffers matching this head.
-    pub fn zero_grads(&self) -> HeadGrads {
+    pub(crate) fn zero_grads(&self) -> HeadGrads {
         HeadGrads {
             dw: Matrix::zeros(self.w.rows(), self.w.cols()),
             db: vec![0.0; self.b.len()],
@@ -107,7 +92,12 @@ impl Head {
     /// # Errors
     ///
     /// Returns a shape error on inconsistent operands.
-    pub fn backward(&self, h: &Matrix, dlogits: &Matrix, grads: &mut HeadGrads) -> Result<Matrix> {
+    pub(crate) fn backward(
+        &self,
+        h: &Matrix,
+        dlogits: &Matrix,
+        grads: &mut HeadGrads,
+    ) -> Result<Matrix> {
         grads.dw.add_assign(&dlogits.matmul_tn(h)?)?;
         for r in 0..dlogits.rows() {
             for (acc, &g) in grads.db.iter_mut().zip(dlogits.row(r).iter()) {
@@ -120,7 +110,7 @@ impl Head {
 
 impl HeadGrads {
     /// Scales all gradients in place.
-    pub fn scale(&mut self, factor: f32) {
+    pub(crate) fn scale(&mut self, factor: f32) {
         self.dw.scale(factor);
         for v in &mut self.db {
             *v *= factor;
@@ -133,7 +123,7 @@ impl HeadGrads {
     /// # Errors
     ///
     /// Returns a shape error if the gradient shapes differ.
-    pub fn accumulate(&mut self, other: &HeadGrads) -> Result<()> {
+    pub(crate) fn accumulate(&mut self, other: &HeadGrads) -> Result<()> {
         self.dw.add_assign(&other.dw)?;
         for (a, &b) in self.db.iter_mut().zip(other.db.iter()) {
             *a += b;
@@ -151,7 +141,7 @@ impl HeadGrads {
 ///
 /// Returns [`LstmError::BatchShape`] if `classes.len() != logits.rows()`
 /// or any class index is out of range.
-pub fn softmax_xent(logits: &Matrix, classes: &[usize]) -> Result<(f64, Matrix)> {
+pub(crate) fn softmax_xent(logits: &Matrix, classes: &[usize]) -> Result<(f64, Matrix)> {
     if classes.len() != logits.rows() {
         return Err(LstmError::BatchShape {
             detail: format!(
@@ -192,7 +182,7 @@ pub fn softmax_xent(logits: &Matrix, classes: &[usize]) -> Result<(f64, Matrix)>
 /// # Errors
 ///
 /// Returns a shape error if `pred` and `target` differ in shape.
-pub fn mse(pred: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
+pub(crate) fn mse(pred: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
     let diff = pred.sub(target)?;
     let n = diff.len() as f64;
     let loss = diff.sq_sum() / n;
@@ -205,7 +195,7 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
 /// # Panics
 ///
 /// Panics if `classes.len() != logits.rows()`.
-pub fn accuracy(logits: &Matrix, classes: &[usize]) -> f64 {
+pub(crate) fn accuracy(logits: &Matrix, classes: &[usize]) -> f64 {
     assert_eq!(classes.len(), logits.rows(), "label count mismatch");
     if logits.rows() == 0 {
         return 0.0;
@@ -229,23 +219,6 @@ pub fn accuracy(logits: &Matrix, classes: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn targets_imply_loss_kind() {
-        assert_eq!(Targets::Classes(vec![0]).loss_kind(), LossKind::SingleLoss);
-        assert_eq!(
-            Targets::StepClasses(vec![vec![0]]).loss_kind(),
-            LossKind::PerTimestamp
-        );
-        assert_eq!(
-            Targets::Regression(Matrix::zeros(1, 1)).loss_kind(),
-            LossKind::SingleLoss
-        );
-        assert_eq!(
-            Targets::StepRegression(vec![Matrix::zeros(1, 1)]).loss_kind(),
-            LossKind::PerTimestamp
-        );
-    }
 
     #[test]
     fn xent_is_minimal_for_confident_correct_prediction() {

@@ -6,7 +6,7 @@
 use crate::cell::{CellGrads, CellParams};
 use crate::config::LstmConfig;
 use crate::layer::{Instruments, LayerTape, LstmLayer, StorageMode};
-use crate::loss::{self, Head, HeadGrads, LossKind, Targets};
+use crate::loss::{self, Head, HeadGrads, Targets};
 use crate::ms1::Ms1Config;
 use crate::ms2::SkipPlan;
 use crate::ms3::{self, Ms3Config};
@@ -47,12 +47,6 @@ impl StepPlan {
             kernel: ParallelConfig::serial(),
         }
     }
-
-    /// The same plan with a different kernel-parallelism config.
-    pub fn with_kernel(mut self, kernel: ParallelConfig) -> Self {
-        self.kernel = kernel;
-        self
-    }
 }
 
 /// Gradients of every trainable parameter after one step.
@@ -81,9 +75,9 @@ pub struct StepResult {
     /// Aggregate MS1 compression statistics (zeroed without MS1).
     pub p1_stats: CompressionStats,
     /// BP cells skipped this step.
-    pub cells_skipped: usize,
+    pub(crate) cells_skipped: usize,
     /// Total BP cells.
-    pub cells_total: usize,
+    pub(crate) cells_total: usize,
     /// Microbatch shards this step ran as (1 = plain serial step).
     pub shards: usize,
     /// Wall-clock seconds spent in the gradient tree reduction
@@ -144,7 +138,7 @@ impl LstmModel {
 
     /// Mutable access to the layers (custom initialization, gradient
     /// checking, pruning research).
-    pub fn layers_mut(&mut self) -> &mut [LstmLayer] {
+    pub(crate) fn layers_mut(&mut self) -> &mut [LstmLayer] {
         &mut self.layers
     }
 
@@ -154,7 +148,7 @@ impl LstmModel {
     }
 
     /// Mutable access to the projection head.
-    pub fn head_mut(&mut self) -> &mut crate::loss::Head {
+    pub(crate) fn head_mut(&mut self) -> &mut crate::loss::Head {
         &mut self.head
     }
 
@@ -538,11 +532,6 @@ impl LstmModel {
             }
         }
     }
-
-    /// The loss structure a target set implies — convenience re-export.
-    pub fn loss_kind(targets: &Targets) -> LossKind {
-        targets.loss_kind()
-    }
 }
 
 #[cfg(test)]
@@ -739,7 +728,10 @@ mod tests {
                 ms1: Some(Ms1Config { threshold: 0.0 }),
                 ..StepPlan::baseline()
             },
-            StepPlan::baseline().with_kernel(eta_tensor::ParallelConfig::with_threads(3)),
+            StepPlan {
+                kernel: eta_tensor::ParallelConfig::with_threads(3),
+                ..StepPlan::baseline()
+            },
         ] {
             let reference = model.fresh_step(&xs, &targets, &plan, &inst).unwrap();
             // Run twice with the same workspace: reuse must not drift.

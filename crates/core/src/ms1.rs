@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// Default near-zero pruning threshold: the paper reports that pruning
 /// around 0.1 gives large memory savings with negligible accuracy loss
 /// (Sec. IV-A, Sec. VI-B4).
-pub const DEFAULT_P1_THRESHOLD: f32 = 0.1;
+pub(crate) const DEFAULT_P1_THRESHOLD: f32 = 0.1;
 
 /// MS1 configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,7 +61,7 @@ impl P1Packet {
     /// `p_i, p_f, p_c, p_o, p_h, p_s`) at the given threshold — the
     /// zero-alloc MS1 path hands in workspace buffers plus the
     /// tape-owned forget gate instead of materializing a [`P1Dense`].
-    pub fn compress_streams(streams: [&eta_tensor::Matrix; 6], threshold: f32) -> Self {
+    pub(crate) fn compress_streams(streams: [&eta_tensor::Matrix; 6], threshold: f32) -> Self {
         let compressed = streams.map(|m| SparseVec::compress_matrix(m, threshold));
         P1Packet {
             batch: streams[0].rows(),
@@ -90,7 +90,7 @@ impl P1Packet {
     /// backward path uses. `buf` holds the five computed products and
     /// `p_s` the sixth (pruned forget-gate) stream; both are resized
     /// only when the batch/hidden shape changes.
-    pub fn decode_into(&self, buf: &mut crate::workspace::P1Buffers, p_s: &mut Matrix) {
+    pub(crate) fn decode_into(&self, buf: &mut crate::workspace::P1Buffers, p_s: &mut Matrix) {
         buf.ensure(self.batch, self.hidden);
         crate::workspace::ensure_shape(p_s, self.batch, self.hidden);
         for (stream, dst) in self.streams.iter().zip([
@@ -106,12 +106,14 @@ impl P1Packet {
     }
 
     /// Batch dimension of the packed products.
-    pub fn batch(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn batch(&self) -> usize {
         self.batch
     }
 
     /// Hidden dimension of the packed products.
-    pub fn hidden(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn hidden(&self) -> usize {
         self.hidden
     }
 
@@ -122,14 +124,10 @@ impl P1Packet {
         self.streams.iter().map(|s| s.best_bytes()).sum()
     }
 
-    /// Bytes of the dense P1 products this packet replaces.
-    pub fn dense_bytes(&self) -> u64 {
-        (self.streams.len() * self.batch * self.hidden * 4) as u64
-    }
-
     /// Bytes of the five baseline dense intermediates the packet
     /// displaces (`i, f, c, o, s`).
-    pub fn displaced_baseline_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn displaced_baseline_bytes(&self) -> u64 {
         (5 * self.batch * self.hidden * 4) as u64
     }
 

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// Default relative skip threshold: a BP cell is skipped when its
 /// predicted gradient magnitude falls below this fraction of the largest
 /// predicted magnitude within its layer.
-pub const DEFAULT_SKIP_THRESHOLD: f64 = 0.10;
+pub(crate) const DEFAULT_SKIP_THRESHOLD: f64 = 0.10;
 
 /// Number of initial epochs that always run unskipped: Eq. 5 needs three
 /// historic losses, and the first epoch also calibrates α.
@@ -88,21 +88,6 @@ impl LossHistory {
         self.losses.push(loss);
     }
 
-    /// Number of recorded epochs.
-    pub fn len(&self) -> usize {
-        self.losses.len()
-    }
-
-    /// Whether no epochs have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.losses.is_empty()
-    }
-
-    /// All recorded losses, oldest first.
-    pub fn losses(&self) -> &[f64] {
-        &self.losses
-    }
-
     /// Eq. 5 prediction for the next epoch's loss, or `None` during the
     /// first [`WARMUP_EPOCHS`] epochs.
     ///
@@ -163,7 +148,7 @@ impl GradPredictor {
     /// # Panics
     ///
     /// Panics if `layer_id >= layers` or `timestamp >= seq_len`.
-    pub fn unit_prediction(
+    pub(crate) fn unit_prediction(
         beta: f64,
         layer_id: usize,
         layers: usize,
@@ -179,7 +164,7 @@ impl GradPredictor {
 
     /// Full Eq. 4 prediction: `α · Σloss · (LN − layerID) /
     /// (LL − timeStamp)^β`.
-    pub fn predict(
+    pub(crate) fn predict(
         &self,
         sum_loss: f64,
         layer_id: usize,
@@ -251,7 +236,8 @@ impl SkipPlan {
     }
 
     /// Whether the BP cell at (`layer`, `t`) runs.
-    pub fn keeps(&self, layer: usize, t: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn keeps(&self, layer: usize, t: usize) -> bool {
         self.keep[layer][t]
     }
 }

@@ -28,39 +28,39 @@ use serde::{Deserialize, Serialize};
 /// Default checkpoint interval: keep every 4th cell. Matches the
 /// footprint target in the roadmap (tape ≈ 1/4) while bounding recompute
 /// to one extra forward pass.
-pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 4;
+pub(crate) const DEFAULT_CHECKPOINT_INTERVAL: usize = 4;
 
 /// Default initial loss scale, 2¹⁶ — the conventional AMP starting point:
 /// large enough to lift small f16 gradients out of the subnormal range,
 /// small enough that a couple of backoffs recover from early overflow.
-pub const DEFAULT_INIT_LOSS_SCALE: f32 = 65536.0;
+pub(crate) const DEFAULT_INIT_LOSS_SCALE: f32 = 65536.0;
 
 /// Default number of consecutive good steps before the scale doubles.
-pub const DEFAULT_GROWTH_INTERVAL: u32 = 200;
+pub(crate) const DEFAULT_GROWTH_INTERVAL: u32 = 200;
 
 /// Loss-scale ceiling (2²⁴): doubling stops here so `scale × loss` stays
 /// far from f32 overflow.
-pub const MAX_LOSS_SCALE: f32 = 16_777_216.0;
+pub(crate) const MAX_LOSS_SCALE: f32 = 16_777_216.0;
 
 /// Loss-scale floor. Backoff stops at 1 — an unscaled step that still
 /// overflows indicates divergence, not a range problem.
-pub const MIN_LOSS_SCALE: f32 = 1.0;
+pub(crate) const MIN_LOSS_SCALE: f32 = 1.0;
 
 /// MS3 configuration: checkpoint granularity plus storage precision.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Ms3Config {
     /// Checkpoint interval `k`: the tape keeps cell `t` iff
     /// `(t+1) % k == 0`. `k = 1` keeps everything (recompute no-op);
-    /// values are clamped to ≥ 1 via [`Ms3Config::interval`].
+    /// values are clamped to ≥ 1 via `Ms3Config::interval`.
     pub k: usize,
     /// Storage precision for tape tensors and inter-layer gradients.
     pub precision: Precision,
     /// Initial dynamic loss scale (power of two). Ignored — pinned to
     /// 1 — under f32 storage, where scaling has nothing to protect and
     /// pinning preserves the bitwise-baseline contract.
-    pub init_loss_scale: f32,
+    pub(crate) init_loss_scale: f32,
     /// Consecutive overflow-free steps before the scale doubles.
-    pub growth_interval: u32,
+    pub(crate) growth_interval: u32,
 }
 
 impl Default for Ms3Config {
@@ -85,7 +85,7 @@ impl Ms3Config {
     }
 
     /// The effective checkpoint interval (`k` clamped to ≥ 1).
-    pub fn interval(&self) -> usize {
+    pub(crate) fn interval(&self) -> usize {
         self.k.max(1)
     }
 
@@ -94,24 +94,24 @@ impl Ms3Config {
     /// Kept positions are `k-1, 2k-1, …` — the *last* cell of each
     /// segment — so every dropped segment has a kept (or t = 0 zero-state)
     /// predecessor carrying the `s` seed it recomputes from.
-    pub fn keeps_cell(&self, t: usize) -> bool {
+    pub(crate) fn keeps_cell(&self, t: usize) -> bool {
         (t + 1).is_multiple_of(self.interval())
     }
 
     /// First timestep of the segment containing cell `t`.
-    pub fn segment_start(&self, t: usize) -> usize {
+    pub(crate) fn segment_start(&self, t: usize) -> usize {
         (t / self.interval()) * self.interval()
     }
 
     /// Whether this configuration changes anything at all relative to the
     /// baseline tape (used to skip the MS3 bookkeeping entirely).
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.interval() == 1 && self.precision.is_f32()
     }
 
     /// The loss scale this configuration starts from (see
     /// [`Ms3Config::init_loss_scale`]).
-    pub fn effective_init_scale(&self) -> f32 {
+    pub(crate) fn effective_init_scale(&self) -> f32 {
         if self.precision.is_f32() {
             MIN_LOSS_SCALE
         } else {
@@ -150,11 +150,6 @@ impl LossScaler {
         self.scale
     }
 
-    /// The exact reciprocal used to unscale gradients.
-    pub fn inv_scale(&self) -> f32 {
-        1.0 / self.scale
-    }
-
     /// Records the outcome of one step. Returns `true` if the step's
     /// gradients are usable (apply them), `false` if the step must be
     /// skipped (non-finite gradients: back off ×½ and retry next step).
@@ -188,7 +183,7 @@ impl LossScaler {
 /// recomputed record is byte-identical to the one the tape dropped
 /// (quantization is a deterministic pure function of the stored seeds).
 /// Under [`Precision::F32`] this is a no-op.
-pub fn quantize_cell(
+pub(crate) fn quantize_cell(
     p: Precision,
     fw: &mut crate::cell::CellForward,
     stats: &mut eta_tensor::ConvStats,
@@ -317,15 +312,6 @@ mod tests {
         assert_eq!(s.scale(), s0 * 0.5); // one good step ≠ growth yet
         assert!(s.on_step(false));
         assert_eq!(s.scale(), s0); // now it doubled back
-    }
-
-    #[test]
-    fn inv_scale_is_exact_reciprocal() {
-        let mut s = LossScaler::new(&Ms3Config::new(2, Precision::F16));
-        for _ in 0..5 {
-            assert_eq!(s.scale() * s.inv_scale(), 1.0);
-            s.on_step(true);
-        }
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl Optimizer {
     /// # Panics
     ///
     /// Panics if `cells` and `grads` differ in length.
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         cells: &mut [&mut CellParams],
         grads: &[CellGrads],
@@ -362,7 +362,7 @@ impl Sgd {
     /// # Panics
     ///
     /// Panics if `cells` and `grads` differ in length.
-    pub fn step(
+    pub(crate) fn step(
         &self,
         cells: &mut [&mut CellParams],
         grads: &[CellGrads],

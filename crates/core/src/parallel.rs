@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// produces the same numbers; 4 shards keeps per-shard batches useful
 /// at the harness's small batch sizes while exposing enough parallelism
 /// for the thread counts the benches sweep.
-pub const DEFAULT_SHARDS: usize = 4;
+pub(crate) const DEFAULT_SHARDS: usize = 4;
 
 /// Execution policy of the data-parallel training engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,7 +62,7 @@ impl Parallelism {
         }
     }
 
-    /// `threads` shard workers over the fixed [`DEFAULT_SHARDS`]
+    /// `threads` shard workers over the fixed `DEFAULT_SHARDS`
     /// microbatch split. `with_threads(1)` and `with_threads(8)` run
     /// the same sharded computation and produce bit-identical results.
     pub fn with_threads(threads: usize) -> Self {
@@ -78,18 +78,6 @@ impl Parallelism {
     /// the policy behind `run_all --threads N`.
     pub fn from_env() -> Self {
         Self::with_threads(ParallelConfig::from_env().threads)
-    }
-
-    /// Overrides the shard count (0 is clamped to 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Overrides the kernel-level config.
-    pub fn with_kernel(mut self, kernel: ParallelConfig) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Whether the microbatch engine (rather than the plain serial
@@ -645,7 +633,6 @@ mod tests {
         assert_eq!(p.threads, 1);
         assert_eq!(p.shards, DEFAULT_SHARDS);
         assert!(p.is_sharded());
-        assert_eq!(Parallelism::serial().with_shards(0).shards, 1);
         assert!(Parallelism::from_env().threads >= 1);
     }
 }

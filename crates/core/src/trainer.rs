@@ -66,19 +66,19 @@ pub struct EpochReport {
     pub traffic: [u64; 3],
     /// MS3: cells recomputed from checkpoints during the epoch's
     /// backward passes (0 without MS3).
-    pub ms3_recompute_cells: u64,
+    pub(crate) ms3_recompute_cells: u64,
     /// MS3: optimizer steps skipped this epoch because the loss-scaled
     /// backward overflowed.
-    pub ms3_overflow_skips: u64,
+    pub(crate) ms3_overflow_skips: u64,
     /// MS3: the dynamic loss scale after the epoch (1.0 without MS3).
-    pub ms3_loss_scale: f32,
+    pub(crate) ms3_loss_scale: f32,
 }
 
 /// Aggregated training run result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainingReport {
     /// Strategy that produced this report.
-    pub strategy: TrainingStrategy,
+    pub(crate) strategy: TrainingStrategy,
     /// One report per epoch.
     pub epochs: Vec<EpochReport>,
     /// Per-cell gradient magnitudes of the **first** epoch,

@@ -45,22 +45,22 @@ pub(crate) fn ensure_shape(slot: &mut Matrix, rows: usize, cols: usize) {
 /// never materialized — it *is* the forget gate, borrowed from the
 /// tape).
 #[derive(Debug, Clone, Default)]
-pub struct P1Buffers {
+pub(crate) struct P1Buffers {
     /// `c ⊙ i(1−i)`.
-    pub p_i: Matrix,
+    pub(crate) p_i: Matrix,
     /// `s_{t−1} ⊙ f(1−f)`.
-    pub p_f: Matrix,
+    pub(crate) p_f: Matrix,
     /// `i ⊙ (1−c²)`.
-    pub p_c: Matrix,
+    pub(crate) p_c: Matrix,
     /// `tanh(s_t) ⊙ o(1−o)`.
-    pub p_o: Matrix,
+    pub(crate) p_o: Matrix,
     /// `o ⊙ (1−tanh²(s_t))`.
-    pub p_h: Matrix,
+    pub(crate) p_h: Matrix,
 }
 
 impl P1Buffers {
     /// Sizes all five buffers to `[batch, hidden]`.
-    pub fn ensure(&mut self, batch: usize, hidden: usize) {
+    pub(crate) fn ensure(&mut self, batch: usize, hidden: usize) {
         for m in [
             &mut self.p_i,
             &mut self.p_f,
@@ -87,25 +87,25 @@ impl P1Buffers {
 /// accumulator a chunk of cells' `δW`/`δU` operands wait in until they
 /// are added to the layer's.
 #[derive(Debug, Clone, Default)]
-pub struct BwdBuffers {
+pub(crate) struct BwdBuffers {
     /// `δS' = δS + δH' ⊙ p_h`, `[batch, H]`.
-    pub ds_acc: Matrix,
+    pub(crate) ds_acc: Matrix,
     /// `δgates` in the fixed `[i|f|c|o]` order, `[batch, 4H]`.
-    pub dgates: Matrix,
+    pub(crate) dgates: Matrix,
     /// The current cell's `δb` (column sums of `δgates`), `[4H]`: summed
     /// here first and added to the layer's once, the association a
     /// per-cell gradient had.
-    pub db: Vec<f32>,
+    pub(crate) db: Vec<f32>,
     /// The weight-gradient accumulator: the pending cells' `δgates`
     /// (transposed) and `x_t` / `h_{t−1}` (packed), plus the product row
     /// block of the flush. Sized for `KC` reduction steps when the sweep
     /// runs in chunks (`crate::layer`), one cell's otherwise.
-    pub tn: TnScratch,
+    pub(crate) tn: TnScratch,
 }
 
 impl BwdBuffers {
     /// Sizes the buffers for a `[batch, hidden]` cell.
-    pub fn ensure(&mut self, batch: usize, hidden: usize) {
+    pub(crate) fn ensure(&mut self, batch: usize, hidden: usize) {
         ensure_shape(&mut self.ds_acc, batch, hidden);
         ensure_shape(&mut self.dgates, batch, 4 * hidden);
     }
@@ -127,13 +127,13 @@ impl BwdBuffers {
 pub struct Workspace {
     /// Forward preactivation `x·Wᵀ + h·Uᵀ + b` (activated in place by
     /// the fused GEMM epilogue), `[batch, 4H]`.
-    pub preact: Matrix,
+    pub(crate) preact: Matrix,
     /// Summed context gradient `δY_t + δH_t`, `[batch, H]`.
-    pub dh_total: Matrix,
+    pub(crate) dh_total: Matrix,
     /// BP-EW-P1 product buffers.
-    pub p1: P1Buffers,
+    pub(crate) p1: P1Buffers,
     /// BP-EW-P2 buffers.
-    pub bwd: BwdBuffers,
+    pub(crate) bwd: BwdBuffers,
     /// MS3 recompute scratch: one reused forward record per in-segment
     /// cell, grown to at most `k − 1` slots on first use.
     pub(crate) ms3_segment: Vec<CellForward>,
@@ -144,10 +144,10 @@ pub struct Workspace {
     pub(crate) ms3_p_s: Matrix,
     /// Cells recomputed by the MS3 backward since the last
     /// [`Workspace::reset_ms3_stats`].
-    pub ms3_recompute_cells: u64,
+    pub(crate) ms3_recompute_cells: u64,
     /// Low-precision storage range events (overflow/underflow counts)
     /// since the last [`Workspace::reset_ms3_stats`].
-    pub ms3_conv: ConvStats,
+    pub(crate) ms3_conv: ConvStats,
     high_water_bytes: u64,
 }
 
@@ -158,7 +158,7 @@ impl Workspace {
     }
 
     /// Current bytes held across all buffers.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         let seg: u64 = self
             .ms3_segment
             .iter()
@@ -183,18 +183,18 @@ impl Workspace {
     /// Zeroes the MS3 per-step counters (recomputed cells, conversion
     /// range events). Called at the top of every training step so the
     /// step result reports exactly that step's activity.
-    pub fn reset_ms3_stats(&mut self) {
+    pub(crate) fn reset_ms3_stats(&mut self) {
         self.ms3_recompute_cells = 0;
         self.ms3_conv = ConvStats::default();
     }
 
     /// Records the current buffer footprint into the high-water mark.
-    pub fn note_high_water(&mut self) {
+    pub(crate) fn note_high_water(&mut self) {
         self.high_water_bytes = self.high_water_bytes.max(self.bytes());
     }
 
     /// Largest buffer footprint observed by [`Workspace::note_high_water`].
-    pub fn high_water_bytes(&self) -> u64 {
+    pub(crate) fn high_water_bytes(&self) -> u64 {
         self.high_water_bytes
     }
 }
@@ -212,7 +212,7 @@ impl WorkspacePool {
     }
 
     /// The workspace of worker `idx`, created if absent.
-    pub fn slot(&mut self, idx: usize) -> &mut Workspace {
+    pub(crate) fn slot(&mut self, idx: usize) -> &mut Workspace {
         while self.slots.len() <= idx {
             self.slots.push(Workspace::new());
         }
@@ -222,7 +222,7 @@ impl WorkspacePool {
 
     /// Mutable access to the first `n.max(1)` slots — one per
     /// concurrent worker, each handed to exactly one thread.
-    pub fn slots_mut(&mut self, n: usize) -> &mut [Workspace] {
+    pub(crate) fn slots_mut(&mut self, n: usize) -> &mut [Workspace] {
         let n = n.max(1);
         while self.slots.len() < n {
             self.slots.push(Workspace::new());
@@ -245,7 +245,7 @@ impl WorkspacePool {
 /// consumes: `from_nt` panels for the forward `x·Wᵀ` / `h·Uᵀ` GEMMs,
 /// `from_nn` panels for the backward `δgates·W` / `δgates·U` GEMMs.
 /// (The weight-*gradient* GEMMs pack their rhs as the cells push it
-/// — it is an activation — into the [`BwdBuffers`] accumulator.)
+/// — it is an activation — into the `BwdBuffers` accumulator.)
 #[derive(Debug, Clone)]
 pub struct LayerPanels {
     /// `W [4H, in]` packed for `x · Wᵀ`.
@@ -274,7 +274,7 @@ impl LayerPanels {
     }
 
     /// Total packed bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         self.w_fwd.size_bytes()
             + self.u_fwd.size_bytes()
             + self.w_bwd.size_bytes()
@@ -291,7 +291,7 @@ pub struct ModelPanels {
 
 impl ModelPanels {
     /// Packs every layer's weights (see [`LayerPanels::pack_with`]).
-    pub fn pack_with(model: &LstmModel, cfg: &ParallelConfig) -> Self {
+    pub(crate) fn pack_with(model: &LstmModel, cfg: &ParallelConfig) -> Self {
         ModelPanels {
             layers: model
                 .layers()
@@ -352,7 +352,8 @@ impl PanelCache {
     }
 
     /// Whether panels are currently cached.
-    pub fn is_packed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_packed(&self) -> bool {
         self.panels.is_some()
     }
 

@@ -7,15 +7,15 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpuSpec {
     /// Marketing name.
-    pub name: String,
+    pub(crate) name: String,
     /// Peak FP32 throughput, TFLOPS.
-    pub peak_tflops: f64,
+    pub(crate) peak_tflops: f64,
     /// DRAM bandwidth, GB/s.
-    pub mem_bw_gbs: f64,
+    pub(crate) mem_bw_gbs: f64,
     /// DRAM capacity, bytes.
-    pub mem_capacity: u64,
+    pub(crate) mem_capacity: u64,
     /// Board power, watts.
-    pub tdp_watts: f64,
+    pub(crate) tdp_watts: f64,
 }
 
 impl GpuSpec {
@@ -52,21 +52,21 @@ impl GpuSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyParams {
     /// Idle/static power, watts.
-    pub static_watts: f64,
+    pub(crate) static_watts: f64,
     /// Energy per floating-point operation, joules (≈9 pJ for FP32 on
     /// 12 nm-class silicon).
-    pub joules_per_flop: f64,
+    pub(crate) joules_per_flop: f64,
     /// Effective energy per DRAM byte moved, joules. This is the
     /// end-to-end cost of getting a byte to the ALUs: device access
     /// (HBM2 ≈7 pJ/bit), PHY/controller, and the on-chip NoC/L2 hop —
     /// roughly 4× the raw device energy (≈250 pJ/byte for HBM2-class
     /// memory).
-    pub joules_per_byte: f64,
+    pub(crate) joules_per_byte: f64,
 }
 
 impl EnergyParams {
     /// Defaults for an HBM2-equipped datacenter GPU (V100-class).
-    pub fn hbm2() -> Self {
+    pub(crate) fn hbm2() -> Self {
         EnergyParams {
             static_watts: 70.0,
             joules_per_flop: 9.0e-12,
@@ -75,7 +75,7 @@ impl EnergyParams {
     }
 
     /// Defaults for a GDDR6 workstation GPU (RTX 5000-class).
-    pub fn gddr6() -> Self {
+    pub(crate) fn gddr6() -> Self {
         EnergyParams {
             static_watts: 55.0,
             joules_per_flop: 10.0e-12,

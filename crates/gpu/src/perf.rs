@@ -34,38 +34,38 @@ use eta_memsim::model::{self, LstmShape, OptEffects};
 use serde::{Deserialize, Serialize};
 
 /// Peak fraction of FLOPS reachable by LSTM GEMMs at large hidden size.
-pub const MAX_PARALLEL_EFF: f64 = 0.70;
+pub(crate) const MAX_PARALLEL_EFF: f64 = 0.70;
 
 /// Hidden size at which the parallelism-efficiency curve reaches half of
 /// [`MAX_PARALLEL_EFF`] (squared-saturating form), matching the paper's
 /// observation that throughput saturates beyond hidden ≈1024.
-pub const HALF_SATURATION_HIDDEN: f64 = 384.0;
+pub(crate) const HALF_SATURATION_HIDDEN: f64 = 384.0;
 
 /// Per-executed-cell overhead, seconds (kernel launches + sync of the
 /// unfused cell kernels).
-pub const CELL_STALL_S: f64 = 1.2e-4;
+pub(crate) const CELL_STALL_S: f64 = 1.2e-4;
 
 /// Footprint at which the per-cell stall doubles (bytes).
-pub const STALL_FOOTPRINT_REF: f64 = 1.0 * 1024.0 * 1024.0 * 1024.0;
+pub(crate) const STALL_FOOTPRINT_REF: f64 = 1.0 * 1024.0 * 1024.0 * 1024.0;
 
 /// Fraction of peak DRAM bandwidth achieved by the mixed
 /// streaming/scattered training traffic.
-pub const BANDWIDTH_EFF: f64 = 0.6;
+pub(crate) const BANDWIDTH_EFF: f64 = 0.6;
 
 /// Fraction of memory time hidden under compute (partial overlap of the
 /// unfused kernel pipeline).
-pub const MEM_EXPOSED_FRACTION: f64 = 0.8;
+pub(crate) const MEM_EXPOSED_FRACTION: f64 = 0.8;
 
 /// Footprint at which per-byte DRAM energy doubles (bytes) — the
 /// row-locality pressure term.
-pub const ENERGY_FOOTPRINT_REF: f64 = 1.5 * 1024.0 * 1024.0 * 1024.0;
+pub(crate) const ENERGY_FOOTPRINT_REF: f64 = 1.5 * 1024.0 * 1024.0 * 1024.0;
 
 /// Device-memory demand multiplier over the named-tensor footprint:
 /// the PyTorch caching allocator, cuDNN GEMM workspaces, double-buffered
 /// gradient storage, and fragmentation. Calibrated so that — as the
 /// paper reports for Fig. 3b — the 7-layer H2048 model no longer fits a
 /// 16 GB RTX 5000 while the 6-layer one still does.
-pub const RUNTIME_DEMAND_FACTOR: f64 = 7.0;
+pub(crate) const RUNTIME_DEMAND_FACTOR: f64 = 7.0;
 
 /// Model outputs for one training iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,11 +73,11 @@ pub struct GpuEstimate {
     /// Iteration latency, seconds.
     pub time_s: f64,
     /// GEMM compute time, seconds.
-    pub t_gemm_s: f64,
+    pub(crate) t_gemm_s: f64,
     /// Exposed memory time, seconds.
-    pub t_mem_s: f64,
+    pub(crate) t_mem_s: f64,
     /// Per-cell stall time, seconds.
-    pub t_stall_s: f64,
+    pub(crate) t_stall_s: f64,
     /// Achieved throughput over executed FLOPs, TFLOPS.
     pub tflops: f64,
     /// Iteration energy, joules.
@@ -85,9 +85,9 @@ pub struct GpuEstimate {
     /// Energy efficiency, GFLOPS/W (= executed GFLOPs per joule).
     pub gflops_per_watt: f64,
     /// Peak memory footprint, bytes.
-    pub footprint_bytes: u64,
+    pub(crate) footprint_bytes: u64,
     /// Total DRAM traffic (named tensors + GEMM streaming), bytes.
-    pub traffic_bytes: u64,
+    pub(crate) traffic_bytes: u64,
     /// Whether the footprint fits in device memory — the paper's
     /// 7/8-layer models do not fit the 16 GB RTX 5000 (Fig. 3b).
     pub fits: bool,
@@ -112,20 +112,9 @@ impl GpuModel {
         GpuModel { spec, energy }
     }
 
-    /// Overrides the energy parameters.
-    pub fn with_energy(mut self, energy: EnergyParams) -> Self {
-        self.energy = energy;
-        self
-    }
-
-    /// The device specification.
-    pub fn spec(&self) -> &GpuSpec {
-        &self.spec
-    }
-
     /// Parallelism efficiency at hidden size `h`:
     /// `MAX · h²/(h² + h½²)`.
-    pub fn parallel_efficiency(h: usize) -> f64 {
+    pub(crate) fn parallel_efficiency(h: usize) -> f64 {
         let h2 = (h as f64) * (h as f64);
         let half2 = HALF_SATURATION_HIDDEN * HALF_SATURATION_HIDDEN;
         MAX_PARALLEL_EFF * h2 / (h2 + half2)
@@ -136,7 +125,7 @@ impl GpuModel {
     /// plus its activation-sized inputs/outputs. MS1 lets the BP passes
     /// skip pruned-operand columns (density factor); MS2 removes the BP
     /// passes of skipped cells.
-    pub fn gemm_stream_bytes(shape: &LstmShape, eff: &OptEffects) -> u64 {
+    pub(crate) fn gemm_stream_bytes(shape: &LstmShape, eff: &OptEffects) -> u64 {
         let kept = eff.kept_fraction();
         let rho = if eff.ms1 { eff.p1_density } else { 1.0 };
         let io_per_cell = (shape.batch * shape.hidden * 8 * model::BYTES_F32 as usize) as f64;

@@ -4,13 +4,14 @@
 //! configured in the root `clippy.toml`: hash-ordered collections,
 //! locks, atomics and channels are `disallowed_types`, clocks and
 //! entropy `disallowed_methods`, and the numeric crates deny
-//! `unwrap`/`expect`/`panic!`. What is left runs here, over the token
+//! `unwrap`/`expect`/`panic!`. The workspace `[lints]` table denies
+//! `clippy::undocumented_unsafe_blocks`, so every `unsafe` block
+//! carries a `// SAFETY:` comment. What is left runs here, over the token
 //! stream of every `.rs` file under the workspace root (a
 //! registry-less environment rules out `syn`; see [`lexer`]):
 //!
-//! * **A1**, **A2**, **T1** ([`rules::lint_source`]) — `// SAFETY:`
-//!   comments, feature-guarded entry into `#[target_feature]` code,
-//!   registry-only telemetry keys;
+//! * **A2**, **T1** ([`rules::lint_source`]) — feature-guarded entry
+//!   into `#[target_feature]` code, registry-only telemetry keys;
 //! * **S3** ([`rules::dead_keys`]) — registered keys nobody emits,
 //!   reported as warnings;
 //! * **R1** — no stray `.proptest-regressions` seed files (the in-tree

@@ -2,7 +2,6 @@
 //!
 //! | rule | contract                                                        |
 //! |------|-----------------------------------------------------------------|
-//! | A1   | every `unsafe` carries a nearby `// SAFETY:` comment            |
 //! | A2   | an `unsafe` call into a `#[target_feature]` fn or an intrinsic, |
 //! |      | made outside a `#[target_feature]` fn, sits in the then-branch  |
 //! |      | of an `if is_x86_feature_detected!(…)`                          |
@@ -10,8 +9,10 @@
 //! | S3   | registered telemetry keys are emitted somewhere (a warning)     |
 //!
 //! The rest of the determinism contract (DESIGN.md §8) has stock lints
-//! and is configured in the root `clippy.toml`; DESIGN.md §9 maps every
-//! rule to the check that holds it.
+//! and is configured in the root `clippy.toml` and the workspace
+//! `[lints]` table (a `// SAFETY:` comment on every `unsafe` block is
+//! `clippy::undocumented_unsafe_blocks`); DESIGN.md §9 maps every rule
+//! to the check that holds it.
 
 use crate::lexer::{Tok, TokKind};
 use std::collections::BTreeSet;
@@ -35,7 +36,7 @@ pub(crate) enum ScopeKind {
     Bin,
     /// `tests/`, `benches/`, `examples/`.
     Test,
-    /// `shims/**` — emulations of third-party crates: A1 and A2 only.
+    /// `shims/**` — emulations of third-party crates: A2 only.
     Shim,
 }
 
@@ -80,7 +81,7 @@ pub(crate) fn classify(rel_path: &str) -> Option<FileScope> {
     Some(FileScope { crate_name, kind })
 }
 
-/// Lints one file's source with the per-file rules (A1, A2, T1).
+/// Lints one file's source with the per-file rules (A2, T1).
 /// `registry` holds every key string defined in
 /// `crates/telemetry/src/keys.rs`.
 pub fn lint_source(rel_path: &str, src: &str, registry: &BTreeSet<String>) -> Vec<Finding> {
@@ -89,9 +90,6 @@ pub fn lint_source(rel_path: &str, src: &str, registry: &BTreeSet<String>) -> Ve
     };
     let toks = crate::lexer::lex(src);
     let mut findings = Vec::new();
-
-    // A1 runs on the full stream (it needs the comments).
-    rule_a1(rel_path, &toks, &mut findings);
 
     let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
     rule_a2(rel_path, &code, &cfg_test_mask(&code), &mut findings);
@@ -181,35 +179,6 @@ fn before<'a>(code: &[&'a Tok], i: usize, back: usize) -> Option<&'a Tok> {
 
 fn is_block_edge(t: &Tok) -> bool {
     t.is_punct(';') || t.is_punct('{') || t.is_punct('}')
-}
-
-// ---------------------------------------------------------------------------
-// A1 — unsafe blocks need `// SAFETY:` comments
-// ---------------------------------------------------------------------------
-
-fn rule_a1(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    let safety_lines: Vec<u32> = toks
-        .iter()
-        .filter(|t| t.kind == TokKind::Comment && t.text.contains("SAFETY:"))
-        .map(|t| t.line)
-        .collect();
-    for t in toks {
-        if t.kind == TokKind::Ident && t.text == "unsafe" {
-            let covered = safety_lines
-                .iter()
-                .any(|&l| l >= t.line.saturating_sub(3) && l <= t.line);
-            if !covered {
-                out.push(Finding {
-                    rule: "A1".into(),
-                    file: file.into(),
-                    line: t.line,
-                    message: "`unsafe` without a `// SAFETY:` comment on the preceding \
-                              lines documenting the invariant that makes it sound"
-                        .into(),
-                });
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 /// A library file: every per-file rule is in force.
 const PLAIN_LIB: &str = "crates/workloads/src/fixture.rs";
-/// A test file: A1, A2 and T1 apply; its emits keep no key alive.
+/// A test file: A2 and T1 apply; its emits keep no key alive.
 const TEST_FILE: &str = "crates/core/tests/fixture.rs";
 
 fn registry() -> BTreeSet<String> {
@@ -45,28 +45,6 @@ fn assert_hits(path: &str, src: &str, rule: &str, line: u32) {
 fn assert_clean(path: &str, src: &str) {
     let findings = run(path, src);
     assert!(findings.is_empty(), "expected clean, got {findings:#?}");
-}
-
-// --- A1 --------------------------------------------------------------------
-
-#[test]
-fn a1_flags_undocumented_unsafe() {
-    let src = "pub fn f(p: *const u32) -> u32 {\n    unsafe { *p }\n}\n";
-    assert_hits(PLAIN_LIB, src, "A1", 2);
-    // A1 applies even in tests and shims.
-    assert_hits(TEST_FILE, src, "A1", 2);
-    assert_hits("shims/rand/src/fixture.rs", src, "A1", 2);
-}
-
-#[test]
-fn a1_allows_unsafe_with_safety_comment() {
-    assert_clean(
-        PLAIN_LIB,
-        "pub fn f(p: *const u32) -> u32 {\n\
-             // SAFETY: caller guarantees p is valid and aligned.\n\
-             unsafe { *p }\n\
-         }\n",
-    );
 }
 
 // --- T1 --------------------------------------------------------------------
@@ -154,7 +132,7 @@ fn a2_passes_guarded_entries_and_target_feature_bodies() {
                  \x20   scalar(out)\n\
                  }\n";
     assert_clean(PLAIN_LIB, &format!("{TF_KERNEL}{entry}"));
-    // Unsafe blocks that enter no target-feature code are A1's alone.
+    // Unsafe blocks that enter no target-feature code are not A2's.
     assert_clean(
         TEST_FILE,
         "fn alloc(l: Layout) -> *mut u8 {\n\
@@ -233,5 +211,7 @@ fn shims_get_no_t1() {
 
 #[test]
 fn unclassified_paths_produce_nothing() {
-    assert!(run("results/scratch.rs", "pub fn f() { unsafe { g() } }\n").is_empty());
+    let rogue = "pub fn f(t: &Telemetry) {\n    t.gauge(\"rogue_metric\", 1.0);\n}\n";
+    assert!(!run(PLAIN_LIB, rogue).is_empty());
+    assert!(run("results/scratch.rs", rogue).is_empty());
 }

@@ -23,15 +23,6 @@ impl DataCategory {
         DataCategory::Activations,
         DataCategory::Intermediates,
     ];
-
-    /// Stable index in `[0, 3)` for array-backed per-category storage.
-    pub fn index(self) -> usize {
-        match self {
-            DataCategory::Weights => 0,
-            DataCategory::Activations => 1,
-            DataCategory::Intermediates => 2,
-        }
-    }
 }
 
 impl fmt::Display for DataCategory {
@@ -48,16 +39,6 @@ impl fmt::Display for DataCategory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn indices_are_unique_and_dense() {
-        let mut seen = [false; 3];
-        for c in DataCategory::ALL {
-            assert!(!seen[c.index()]);
-            seen[c.index()] = true;
-        }
-        assert!(seen.iter().all(|&b| b));
-    }
 
     #[test]
     fn display_names() {

@@ -15,16 +15,16 @@
 //! they stand in for GPU library behavior (kernel fusion, L2 persistence)
 //! the paper measured but did not publish:
 //!
-//! - [`INT_TRAFFIC_FACTOR`] — DRAM touches per stored intermediate
+//! - `INT_TRAFFIC_FACTOR` — DRAM touches per stored intermediate
 //!   element (1 write + reads from its multiple BP consumers). Set to
 //!   2.31 so that the intermediate/activation traffic ratio equals the
 //!   paper's measured 4.34× average (Fig. 4) at the characterization
 //!   anchor (3 layers): per timestep the five stored intermediates per
 //!   layer move `5·3·2.31` units against the activations'
 //!   `(3+1)·2.0`, and `(15·2.31)/(4·2.0) = 4.33`.
-//! - [`ACT_TRAFFIC_FACTOR`] — one write during FW plus one read during
+//! - `ACT_TRAFFIC_FACTOR` — one write during FW plus one read during
 //!   BP for every stored activation element.
-//! - [`LstmShape::weight_miss_fraction`] — the fraction of a layer's weights
+//! - `LstmShape::weight_miss_fraction` — the fraction of a layer's weights
 //!   refetched from DRAM per timestep, `0.01 · min(1, wu/24 MiB)`,
 //!   reflecting L2 persistence of weight tiles across timesteps. The
 //!   value reproduces the paper's observed ≈1.08× parameter/activation
@@ -37,37 +37,37 @@ pub const BYTES_F32: u64 = 4;
 
 /// Intermediate variables stored per LSTM cell by the baseline flow:
 /// `i_t, f_t, c_t, o_t, s_t` (paper Sec. III-B).
-pub const STORED_INTERMEDIATES_PER_CELL: u64 = 5;
+pub(crate) const STORED_INTERMEDIATES_PER_CELL: u64 = 5;
 
 /// Compressed BP-EW-P1 streams stored per cell by MS1:
 /// `p_i, p_f, p_c, p_o, p_h, p_s` (see `eta-lstm-core::ms1`).
-pub const P1_STREAMS_PER_CELL: u64 = 6;
+pub(crate) const P1_STREAMS_PER_CELL: u64 = 6;
 
 /// DRAM touches per stored-intermediate element (calibrated; see module
 /// docs).
-pub const INT_TRAFFIC_FACTOR: f64 = 2.31;
+pub(crate) const INT_TRAFFIC_FACTOR: f64 = 2.31;
 
 /// DRAM touches per stored-activation element (write in FW + read in BP).
-pub const ACT_TRAFFIC_FACTOR: f64 = 2.0;
+pub(crate) const ACT_TRAFFIC_FACTOR: f64 = 2.0;
 
 /// Effective L2 budget available for persisting weight tiles across
 /// timesteps (bytes). Modeled on the V100's 6 MiB L2 plus register-file
 /// persistence techniques; see module docs for calibration.
-pub const WEIGHT_L2_BUDGET: f64 = 24.0 * 1024.0 * 1024.0;
+pub(crate) const WEIGHT_L2_BUDGET: f64 = 24.0 * 1024.0 * 1024.0;
 
 /// Maximum per-timestep weight refetch fraction (calibrated; see module
 /// docs).
-pub const WEIGHT_MISS_MAX: f64 = 0.01;
+pub(crate) const WEIGHT_MISS_MAX: f64 = 0.01;
 
 /// Bitmap-index overhead per element of a compressed stream, in bytes
 /// (1 presence bit per element).
-pub const BITMAP_BITS_PER_ELEMENT: f64 = 1.0 / 8.0;
+pub(crate) const BITMAP_BITS_PER_ELEMENT: f64 = 1.0 / 8.0;
 
 /// Fraction of skipped-cell activation bytes actually elided by MS2.
 /// `x_t` of a skipped cell is never needed again, but `h_t` may still be
 /// consumed by a neighboring kept cell's weight-gradient computation, so
 /// only about two thirds of a skipped cell's activation volume disappears.
-pub const MS2_ACT_SKIP_SHARE: f64 = 2.0 / 3.0;
+pub(crate) const MS2_ACT_SKIP_SHARE: f64 = 2.0 / 3.0;
 
 /// Shape of an LSTM training workload, sufficient to evaluate the
 /// footprint/traffic/compute models.
@@ -84,7 +84,7 @@ pub const MS2_ACT_SKIP_SHARE: f64 = 2.0 / 3.0;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LstmShape {
     /// Feature size of the first layer's input.
-    pub input_size: usize,
+    pub(crate) input_size: usize,
     /// Hidden size `H` (gate width; weight matrices are `4H × in` and
     /// `4H × H`).
     pub hidden: usize,
@@ -117,7 +117,7 @@ impl LstmShape {
 
     /// Input feature size seen by layer `l` (the first layer reads the
     /// embedding; deeper layers read the previous layer's `h`).
-    pub fn layer_input(&self, l: usize) -> usize {
+    pub(crate) fn layer_input(&self, l: usize) -> usize {
         if l == 0 {
             self.input_size
         } else {
@@ -172,7 +172,7 @@ impl LstmShape {
     /// Element-wise operation count of one forward pass (gate
     /// activations, state and output updates — about 9 ops per hidden
     /// element per cell).
-    pub fn forward_ew_ops(&self) -> u64 {
+    pub(crate) fn forward_ew_ops(&self) -> u64 {
         9 * (self.layers * self.seq_len * self.batch * self.hidden) as u64
     }
 
@@ -188,7 +188,7 @@ impl LstmShape {
 
     /// Per-timestep fraction of layer `l`'s weights refetched from DRAM
     /// (L2-persistence model; see module docs).
-    pub fn weight_miss_fraction(&self, l: usize) -> f64 {
+    pub(crate) fn weight_miss_fraction(&self, l: usize) -> f64 {
         let wu = self.layer_weight_bytes(l) as f64;
         WEIGHT_MISS_MAX * (wu / WEIGHT_L2_BUDGET).min(1.0)
     }
@@ -361,7 +361,7 @@ impl OptEffects {
 
     /// Per-element byte ratio of the MS3 storage precision relative to
     /// f32 (`1.0` when MS3 is off, `0.5` for bf16/f16).
-    pub fn ms3_storage_ratio(&self) -> f64 {
+    pub(crate) fn ms3_storage_ratio(&self) -> f64 {
         if self.ms3 {
             self.ms3_bytes_per_element as f64 / BYTES_F32 as f64
         } else {
@@ -371,7 +371,7 @@ impl OptEffects {
 
     /// Fraction of cell records the MS3 tape keeps (`1/k`; `1.0` when
     /// MS3 is off).
-    pub fn ms3_tape_fraction(&self) -> f64 {
+    pub(crate) fn ms3_tape_fraction(&self) -> f64 {
         if self.ms3 {
             1.0 / self.ms3_k.max(1) as f64
         } else {
@@ -381,7 +381,7 @@ impl OptEffects {
 
     /// Fraction of cells BP must recompute under MS3 (`1 − 1/k`; `0.0`
     /// when MS3 is off).
-    pub fn ms3_recompute_fraction(&self) -> f64 {
+    pub(crate) fn ms3_recompute_fraction(&self) -> f64 {
         1.0 - self.ms3_tape_fraction()
     }
 }
@@ -418,8 +418,8 @@ pub fn footprint(shape: &LstmShape, eff: &OptEffects) -> FootprintBreakdown {
 ///   operand was pruned (density factor); MS2 removes the BP fetches of
 ///   skipped cells. Both reductions apply to the BP half of the traffic.
 /// - **Activations**: one store + one BP load per element; MS2 elides
-///   [`MS2_ACT_SKIP_SHARE`] of a skipped cell's volume.
-/// - **Intermediates**: [`INT_TRAFFIC_FACTOR`] touches per element;
+///   `MS2_ACT_SKIP_SHARE` of a skipped cell's volume.
+/// - **Intermediates**: `INT_TRAFFIC_FACTOR` touches per element;
 ///   MS1 swaps in the compressed streams, MS2 removes skipped cells.
 /// - **MS3**: stored elements narrow to the storage precision and only
 ///   `1/k` of cell records hit the tape; in exchange, BP re-streams the

@@ -109,16 +109,6 @@ impl MemoryTracker {
     pub fn peak_total(&self) -> u64 {
         self.peak_total
     }
-
-    /// Resets live counts to zero but keeps peaks.
-    pub fn release_all(&mut self) {
-        self.live = [0; 3];
-    }
-
-    /// Resets everything to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// Cumulative alloc/free byte totals per category, plus the high-water
@@ -140,7 +130,7 @@ struct TrackerMirror {
 /// `memsim_alloc_bytes_total{category}` / `memsim_free_bytes_total{category}`
 /// counters plus the `memsim_live_bytes{category}` and
 /// `memsim_peak_total_bytes` gauges. The hot path only accumulates;
-/// registry writes happen at [`SharedTracker::publish`] — which
+/// registry writes happen at `SharedTracker::publish` — which
 /// [`SharedTracker::snapshot`] calls — keeping the per-event cost to one
 /// uncontended add (see the `telemetry_overhead` benchmark guard).
 #[derive(Debug, Clone, Default)]
@@ -158,13 +148,8 @@ pub struct SharedTracker {
 }
 
 impl SharedTracker {
-    /// Creates a handle around an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a handle that mirrors alloc/free totals into `telemetry`
-    /// on every [`SharedTracker::publish`]/[`SharedTracker::snapshot`].
+    /// on every `SharedTracker::publish`/[`SharedTracker::snapshot`].
     pub fn with_telemetry(telemetry: Telemetry) -> Self {
         SharedTracker {
             tracker: Arc::default(),
@@ -192,7 +177,7 @@ impl SharedTracker {
     /// Pushes the accumulated totals into the attached telemetry (a
     /// no-op without one): counter deltas since the last publish plus
     /// the current live/peak gauges.
-    pub fn publish(&self) {
+    pub(crate) fn publish(&self) {
         let Some(t) = &self.telemetry else {
             return;
         };
@@ -242,12 +227,6 @@ impl SharedTracker {
         self.publish();
         self.tracker.lock().clone()
     }
-
-    /// Resets everything to zero (and the publish marks with it).
-    pub fn reset(&self) {
-        self.tracker.lock().reset();
-        *self.mirror.lock() = TrackerMirror::default();
-    }
 }
 
 fn category_labels(category: DataCategory) -> eta_telemetry::Labels {
@@ -282,17 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn release_all_keeps_peaks() {
-        let mut t = MemoryTracker::new();
-        t.alloc(DataCategory::Intermediates, 100);
-        t.release_all();
-        assert_eq!(t.live_total(), 0);
-        assert_eq!(t.peak_total(), 100);
-        t.reset();
-        assert_eq!(t.peak_total(), 0);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "freeing")]
     fn over_free_panics_in_debug() {
@@ -302,7 +270,7 @@ mod tests {
 
     #[test]
     fn shared_tracker_aggregates_across_clones() {
-        let s = SharedTracker::new();
+        let s = SharedTracker::default();
         let s2 = s.clone();
         s.alloc(DataCategory::Weights, 5);
         s2.alloc(DataCategory::Weights, 5);

@@ -73,12 +73,12 @@ impl TrafficCounter {
     }
 
     /// Bytes read from DRAM for one category.
-    pub fn reads(&self, category: DataCategory) -> u64 {
+    pub(crate) fn reads(&self, category: DataCategory) -> u64 {
         slot_ref(&self.reads, category)
     }
 
     /// Bytes written to DRAM for one category.
-    pub fn writes(&self, category: DataCategory) -> u64 {
+    pub(crate) fn writes(&self, category: DataCategory) -> u64 {
         slot_ref(&self.writes, category)
     }
 
@@ -88,21 +88,9 @@ impl TrafficCounter {
     }
 
     /// Reads + writes across all categories.
-    pub fn grand_total(&self) -> u64 {
+    #[cfg(test)]
+    fn grand_total(&self) -> u64 {
         self.reads.iter().sum::<u64>() + self.writes.iter().sum::<u64>()
-    }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &TrafficCounter) {
-        for category in DataCategory::ALL {
-            *slot(&mut self.reads, category) += slot_ref(&other.reads, category);
-            *slot(&mut self.writes, category) += slot_ref(&other.writes, category);
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
     }
 }
 
@@ -120,7 +108,7 @@ struct TrafficMirror {
 /// transfer totals are mirrored as the `dram_read_bytes_total{category}` /
 /// `dram_write_bytes_total{category}` counters. The hot path only
 /// accumulates into the [`TrafficCounter`]; registry writes happen at
-/// [`SharedTraffic::publish`] — which [`SharedTraffic::snapshot`] calls.
+/// `SharedTraffic::publish` — which [`SharedTraffic::snapshot`] calls.
 #[derive(Debug, Clone, Default)]
 #[allow(
     clippy::disallowed_types,
@@ -136,13 +124,8 @@ pub struct SharedTraffic {
 }
 
 impl SharedTraffic {
-    /// Creates a handle around a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a handle that mirrors transfer totals into `telemetry`
-    /// on every [`SharedTraffic::publish`]/[`SharedTraffic::snapshot`].
+    /// on every `SharedTraffic::publish`/[`SharedTraffic::snapshot`].
     pub fn with_telemetry(telemetry: Telemetry) -> Self {
         SharedTraffic {
             counter: Arc::default(),
@@ -163,7 +146,7 @@ impl SharedTraffic {
 
     /// Pushes the accumulated totals into the attached telemetry as
     /// counter deltas since the last publish (a no-op without one).
-    pub fn publish(&self) {
+    pub(crate) fn publish(&self) {
         let Some(t) = &self.telemetry else {
             return;
         };
@@ -197,12 +180,6 @@ impl SharedTraffic {
         self.publish();
         self.counter.lock().clone()
     }
-
-    /// Resets all counters to zero (and the publish marks with them).
-    pub fn reset(&self) {
-        self.counter.lock().reset();
-        *self.mirror.lock() = TrafficMirror::default();
-    }
 }
 
 #[cfg(test)]
@@ -220,26 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = TrafficCounter::new();
-        a.read(DataCategory::Intermediates, 7);
-        let mut b = TrafficCounter::new();
-        b.write(DataCategory::Intermediates, 2);
-        a.merge(&b);
-        assert_eq!(a.total(DataCategory::Intermediates), 9);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut t = TrafficCounter::new();
-        t.write(DataCategory::Weights, 4);
-        t.reset();
-        assert_eq!(t.grand_total(), 0);
-    }
-
-    #[test]
     fn shared_traffic_aggregates() {
-        let s = SharedTraffic::new();
+        let s = SharedTraffic::default();
         s.clone().write(DataCategory::Activations, 6);
         s.read(DataCategory::Activations, 1);
         assert_eq!(s.snapshot().total(DataCategory::Activations), 7);

@@ -31,7 +31,7 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
 }
 
 /// Renders recorded events as Chrome trace-event JSON.
-pub fn export(events: &[TraceEvent]) -> String {
+pub(crate) fn export(events: &[TraceEvent]) -> String {
     let trace_events: Vec<Value> = events
         .iter()
         .map(|ev| {
@@ -63,11 +63,11 @@ pub fn export(events: &[TraceEvent]) -> String {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChromeStats {
     /// Total events (begin + end).
-    pub events: usize,
+    pub(crate) events: usize,
     /// Complete spans (begin events, all matched).
-    pub spans: usize,
+    pub(crate) spans: usize,
     /// Distinct thread ids.
-    pub threads: usize,
+    pub(crate) threads: usize,
 }
 
 struct OpenSpan {

@@ -20,7 +20,7 @@ struct Frame {
 /// Renders events as collapsed-stack lines, sorted by stack name.
 /// Unmatched opens (a tracer detached mid-span) are dropped rather
 /// than guessed at.
-pub fn folded(events: &[TraceEvent]) -> String {
+pub(crate) fn folded(events: &[TraceEvent]) -> String {
     let mut totals: BTreeMap<String, u64> = BTreeMap::new();
     let mut stacks: Vec<(u32, Vec<Frame>)> = Vec::new();
     for ev in events {

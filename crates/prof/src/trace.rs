@@ -13,7 +13,7 @@ use eta_telemetry::{SpanObserver, Telemetry};
 
 /// Begin/End marker of one trace event (Chrome trace-event phases).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Span opened.
     Begin,
     /// Span closed.
@@ -22,17 +22,17 @@ pub enum Phase {
 
 /// One recorded span boundary.
 #[derive(Debug, Clone)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Begin or End.
-    pub ph: Phase,
+    pub(crate) ph: Phase,
     /// Span name (the leaf of its path).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Full hierarchical path — `Begin` events only.
-    pub path: Option<String>,
+    pub(crate) path: Option<String>,
     /// Stable id of the recording thread.
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Microseconds since the tracer was created (monotonic clock).
-    pub ts_us: u64,
+    pub(crate) ts_us: u64,
 }
 
 // Stable small thread ids: assigned once per OS thread, in first-use
@@ -63,7 +63,7 @@ thread_local! {
 /// long runs (the per-timestep cell scopes emit millions of boundaries
 /// on a full harness run) while keeping more than enough structure for
 /// Perfetto. At ~90 bytes per exported event this is ~25 MB of JSON.
-pub const DEFAULT_MAX_EVENTS: usize = 1 << 18;
+pub(crate) const DEFAULT_MAX_EVENTS: usize = 1 << 18;
 
 /// Records span boundaries from every thread into one event log.
 ///
@@ -84,14 +84,14 @@ pub struct Tracer {
 impl Tracer {
     /// A fresh tracer with the [`DEFAULT_MAX_EVENTS`] cap; its clock
     /// starts now.
-    pub fn new() -> Arc<Tracer> {
+    pub(crate) fn new() -> Arc<Tracer> {
         Self::with_limit(DEFAULT_MAX_EVENTS)
     }
 
     /// A fresh tracer dropping new span subtrees past `max_events`
     /// recorded boundaries (Ends of already-open spans still record,
     /// so the cap may be exceeded by the open-span depth).
-    pub fn with_limit(max_events: usize) -> Arc<Tracer> {
+    pub(crate) fn with_limit(max_events: usize) -> Arc<Tracer> {
         Arc::new(Tracer {
             id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
@@ -102,7 +102,7 @@ impl Tracer {
     }
 
     /// Spans dropped because the event cap was reached.
-    pub fn dropped_spans(&self) -> u64 {
+    pub(crate) fn dropped_spans(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
@@ -125,7 +125,7 @@ impl Tracer {
 
     /// Snapshot of all recorded events (insertion order; per-thread
     /// subsequences are time-ordered).
-    pub fn events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
         self.events
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -133,7 +133,7 @@ impl Tracer {
     }
 
     /// Number of complete spans recorded (Begin events).
-    pub fn span_count(&self) -> u64 {
+    pub(crate) fn span_count(&self) -> u64 {
         self.events
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -143,7 +143,7 @@ impl Tracer {
     }
 
     /// Number of distinct threads that recorded at least one event.
-    pub fn thread_count(&self) -> u64 {
+    pub(crate) fn thread_count(&self) -> u64 {
         let events = self.events.lock().unwrap_or_else(|e| e.into_inner());
         events.iter().map(|e| e.tid).collect::<BTreeSet<_>>().len() as u64
     }

@@ -137,8 +137,9 @@ pub const TRACE_THREADS: &str = "trace_threads";
 /// by the Fig. 5 harness.
 pub const FOOTPRINT_BYTES: &str = "footprint_bytes";
 
-/// Every registered key, for exhaustiveness checks and tooling.
-pub const ALL: &[&str] = &[
+/// Every registered key, for the registry's own checks.
+#[cfg(test)]
+const ALL: &[&str] = &[
     TRAIN_EPOCHS_TOTAL,
     TRAIN_BATCHES_TOTAL,
     TRAIN_LOSS_MEAN,

@@ -13,7 +13,7 @@
 //!   observer reads its own clock, so this crate stays free of any
 //!   trace-format knowledge),
 //! - pluggable [`Sink`]s: [`MemorySink`] for tests, [`JsonlSink`] for
-//!   offline analysis, and [`render_summary`] for human eyes,
+//!   offline analysis,
 //! - a per-run [`RunManifest`] written at the top of every JSONL
 //!   stream.
 //!
@@ -31,7 +31,6 @@ pub mod keys;
 mod manifest;
 mod metrics;
 mod sink;
-mod summary;
 
 pub use manifest::{config_hash, RunManifest};
 pub use metrics::{
@@ -39,7 +38,6 @@ pub use metrics::{
     DEFAULT_BUCKETS,
 };
 pub use sink::{Event, JsonlSink, MemoryHandle, MemorySink, Sink};
-pub use summary::render_summary;
 
 use metrics::Registry;
 use std::cell::RefCell;
@@ -88,7 +86,7 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Creates a pipeline with no sinks; attach them with
-    /// [`Telemetry::attach`].
+    /// `Telemetry::attach`.
     pub fn new(manifest: RunManifest) -> Self {
         Telemetry {
             inner: Arc::new(Inner {
@@ -123,13 +121,9 @@ impl Telemetry {
     }
 
     /// Attaches a sink; it immediately receives the run manifest.
-    pub fn attach(&self, mut sink: Box<dyn Sink>) {
+    pub(crate) fn attach(&self, mut sink: Box<dyn Sink>) {
         sink.record(&Event::Manifest(self.inner.manifest.clone()));
         self.lock_sinks().push(sink);
-    }
-
-    pub fn manifest(&self) -> &RunManifest {
-        &self.inner.manifest
     }
 
     // -- metrics ----------------------------------------------------
@@ -258,7 +252,7 @@ impl Telemetry {
     }
 
     /// Whether a span observer is attached (i.e. a tracer is live).
-    pub fn tracing(&self) -> bool {
+    pub(crate) fn tracing(&self) -> bool {
         self.inner.observed.load(Ordering::Relaxed)
     }
 
@@ -357,9 +351,10 @@ pub struct SpanGuard {
     saved_stack: Option<Vec<&'static str>>,
 }
 
+#[cfg(test)]
 impl SpanGuard {
     /// Full hierarchical path of this span (e.g. `epoch/batch`).
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         &self.path
     }
 }

@@ -16,8 +16,8 @@ pub const DEFAULT_BUCKETS: &[f64] = &[
 /// One metric's identity inside the registry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MetricKey {
-    pub name: &'static str,
-    pub labels: Labels,
+    pub(crate) name: &'static str,
+    pub(crate) labels: Labels,
 }
 
 /// Current value of a metric.
@@ -34,19 +34,20 @@ pub enum MetricValue {
 pub struct HistogramSnapshot {
     /// Upper bounds of each bucket; values above the last bound land
     /// in the overflow count.
-    pub bounds: Vec<f64>,
+    pub(crate) bounds: Vec<f64>,
     /// Per-bucket (non-cumulative) observation counts, one per bound.
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Observations above the last bound.
-    pub overflow: u64,
+    pub(crate) overflow: u64,
     pub count: u64,
-    pub sum: f64,
+    pub(crate) sum: f64,
     pub min: f64,
     pub max: f64,
 }
 
+#[cfg(test)]
 impl HistogramSnapshot {
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -118,28 +119,18 @@ impl Histogram {
 /// Aggregate timing statistics for one span path.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SpanStats {
-    pub path: String,
+    pub(crate) path: String,
     pub count: u64,
-    pub total_s: f64,
-    pub min_s: f64,
-    pub max_s: f64,
-}
-
-impl SpanStats {
-    pub fn mean_s(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_s / self.count as f64
-        }
-    }
+    pub(crate) total_s: f64,
+    pub(crate) min_s: f64,
+    pub(crate) max_s: f64,
 }
 
 /// Frozen view of one registered metric.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MetricSnapshot {
     pub name: String,
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     pub value: MetricValue,
 }
 
@@ -147,7 +138,7 @@ pub struct MetricSnapshot {
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct Snapshot {
     pub metrics: Vec<MetricSnapshot>,
-    pub spans: Vec<SpanStats>,
+    pub(crate) spans: Vec<SpanStats>,
 }
 
 impl Snapshot {

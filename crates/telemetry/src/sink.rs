@@ -6,7 +6,7 @@ use crate::metrics::{MetricSnapshot, Snapshot, SpanStats};
 use serde::{Serialize, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// One telemetry occurrence delivered to sinks.
@@ -29,7 +29,7 @@ pub enum Event {
 impl Event {
     /// Flat JSONL encoding: every line is an object with a `type`
     /// field discriminating the payload.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let tagged = |type_name: &str, mut fields: Vec<(String, Value)>| {
             let mut entries = vec![("type".to_string(), Value::Str(type_name.to_string()))];
             entries.append(&mut fields);
@@ -90,7 +90,7 @@ pub struct MemorySink {
 }
 
 impl MemorySink {
-    pub fn new() -> (Self, MemoryHandle) {
+    pub(crate) fn new() -> (Self, MemoryHandle) {
         let sink = MemorySink::default();
         let handle = sink.handle.clone();
         (sink, handle)
@@ -111,7 +111,6 @@ impl Sink for MemorySink {
 /// line is always the run manifest.
 pub struct JsonlSink {
     writer: BufWriter<File>,
-    path: PathBuf,
 }
 
 impl JsonlSink {
@@ -120,16 +119,10 @@ impl JsonlSink {
     /// # Errors
     ///
     /// Returns an error if the file cannot be created.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
+    pub(crate) fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Ok(JsonlSink {
-            writer: BufWriter::new(File::create(&path)?),
-            path,
+            writer: BufWriter::new(File::create(path)?),
         })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

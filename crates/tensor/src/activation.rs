@@ -18,24 +18,10 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Derivative of sigmoid expressed in terms of its output `y = σ(x)`:
-/// `y * (1 - y)`.
-#[inline]
-pub fn sigmoid_deriv_from_output(y: f32) -> f32 {
-    y * (1.0 - y)
-}
-
 /// Hyperbolic tangent.
 #[inline]
 pub fn tanh(x: f32) -> f32 {
     x.tanh()
-}
-
-/// Derivative of tanh expressed in terms of its output `y = tanh(x)`:
-/// `1 - y²`.
-#[inline]
-pub fn tanh_deriv_from_output(y: f32) -> f32 {
-    1.0 - y * y
 }
 
 /// Numerically-stable softmax over a slice, returning the probabilities.
@@ -78,7 +64,6 @@ pub enum LutKind {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ActivationLut {
-    kind: LutKind,
     range: f32,
     table: Vec<f32>,
 }
@@ -103,17 +88,7 @@ impl ActivationLut {
                 f(x)
             })
             .collect();
-        ActivationLut { kind, range, table }
-    }
-
-    /// The nonlinearity this table implements.
-    pub fn kind(&self) -> LutKind {
-        self.kind
-    }
-
-    /// Number of table entries.
-    pub fn entries(&self) -> usize {
-        self.table.len()
+        ActivationLut { range, table }
     }
 
     /// Evaluates the activation through the table with linear
@@ -133,13 +108,10 @@ impl ActivationLut {
         self.table[lo] * (1.0 - frac) + self.table[hi] * frac
     }
 
-    /// Worst-case absolute error of the table against the exact function,
-    /// probed at `probes` points across `[-range, range]`.
-    pub fn max_error(&self, probes: usize) -> f32 {
-        let f = match self.kind {
-            LutKind::Sigmoid => sigmoid as fn(f32) -> f32,
-            LutKind::Tanh => tanh as fn(f32) -> f32,
-        };
+    /// Worst-case absolute error of the table against the exact
+    /// function `f`, probed at `probes` points across `[-range, range]`.
+    #[cfg(test)]
+    fn max_error(&self, f: fn(f32) -> f32, probes: usize) -> f32 {
         let mut worst = 0.0f32;
         for i in 0..probes {
             let x = -self.range + 2.0 * self.range * (i as f32) / (probes.max(2) - 1) as f32;
@@ -163,25 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn derivative_identities() {
-        // d/dx σ(x) at 0 is 0.25
-        assert!((sigmoid_deriv_from_output(sigmoid(0.0)) - 0.25).abs() < 1e-6);
-        // d/dx tanh(x) at 0 is 1
-        assert!((tanh_deriv_from_output(tanh(0.0)) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn derivatives_match_finite_differences() {
-        let eps = 1e-3f32;
-        for &x in &[-2.0f32, -0.5, 0.0, 0.7, 1.9] {
-            let num_s = (sigmoid(x + eps) - sigmoid(x - eps)) / (2.0 * eps);
-            assert!((num_s - sigmoid_deriv_from_output(sigmoid(x))).abs() < 1e-4);
-            let num_t = (tanh(x + eps) - tanh(x - eps)) / (2.0 * eps);
-            assert!((num_t - tanh_deriv_from_output(tanh(x))).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn softmax_sums_to_one_and_orders() {
         let p = softmax(&[1.0, 2.0, 3.0]);
         let sum: f32 = p.iter().sum();
@@ -202,9 +155,9 @@ mod tests {
     #[test]
     fn lut_tracks_exact_function() {
         let s = ActivationLut::new(LutKind::Sigmoid, 8.0, 2048);
-        assert!(s.max_error(10_000) < 1e-3);
+        assert!(s.max_error(sigmoid, 10_000) < 1e-3);
         let t = ActivationLut::new(LutKind::Tanh, 4.0, 2048);
-        assert!(t.max_error(10_000) < 1e-3);
+        assert!(t.max_error(tanh, 10_000) < 1e-3);
     }
 
     #[test]

@@ -38,17 +38,6 @@ pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, seed: u64) -> Matrix 
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi))
 }
 
-/// Standard-normal initialization scaled by `std`.
-pub fn normal(rows: usize, cols: usize, std: f32, seed: u64) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Box-Muller transform; avoids needing rand_distr.
-    Matrix::from_fn(rows, cols, |_, _| {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        std * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,21 +53,6 @@ mod tests {
     fn seeding_is_deterministic() {
         assert_eq!(xavier_uniform(8, 8, 3), xavier_uniform(8, 8, 3));
         assert_ne!(xavier_uniform(8, 8, 3), xavier_uniform(8, 8, 4));
-    }
-
-    #[test]
-    fn normal_has_roughly_requested_std() {
-        let w = normal(200, 200, 0.5, 11);
-        let n = w.len() as f64;
-        let mean: f64 = w.as_slice().iter().map(|&v| v as f64).sum::<f64>() / n;
-        let var: f64 = w
-            .as_slice()
-            .iter()
-            .map(|&v| (v as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var.sqrt() - 0.5).abs() < 0.05, "std {}", var.sqrt());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Each kernel computes `MR × NR` output tiles: `MR` rows of `NR`
 //! accumulators held in registers while the packed B panel streams
-//! through linearly (see [`crate::pack`]). The design constraint that
+//! through linearly (see `crate::pack`). The design constraint that
 //! shapes everything here is **bit-identity** with the naive reference
-//! kernels in [`crate::matrix`]:
+//! kernels in `crate::matrix`:
 //!
 //! - every output element is owned by exactly one accumulator, which
 //!   sums its products in ascending reduction order `p = 0..k` — the
@@ -24,7 +24,7 @@
 use crate::pack::{PackedB, NR};
 
 /// Row height of the register tile.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 
 /// How a computed tile lands in the output buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +256,7 @@ pub fn gemm_nt_rows(
 /// `out[i][j] = f(j, out[i][j] + (a · Bᵀ)[i][j])`. This is the hook the
 /// LSTM cell uses to fuse bias addition and gate activation into the
 /// recurrent GEMM's store pass.
-pub fn gemm_nt_rows_epilogue<F: Fn(usize, f32) -> f32>(
+pub(crate) fn gemm_nt_rows_epilogue<F: Fn(usize, f32) -> f32>(
     a_rows: &[f32],
     rows: usize,
     k: usize,

@@ -39,15 +39,15 @@ pub mod activation;
 pub mod init;
 pub mod kernels;
 pub mod lowp;
-pub mod matrix;
-pub mod pack;
+pub(crate) mod matrix;
+pub(crate) mod pack;
 pub mod parallel;
 // The only `unsafe` in the numeric crates: `std::arch` intrinsics behind
 // runtime feature detection (eta-lint A1 checks each block's `// SAFETY:`
 // comment, A2 that each entry sits behind `is_x86_feature_detected!`).
 #[allow(unsafe_code)]
 pub mod simd;
-pub mod sparse;
+pub(crate) mod sparse;
 pub mod stats;
 
 mod error;
@@ -61,4 +61,4 @@ pub use parallel::ParallelConfig;
 pub use sparse::{CompressionStats, SparseVec};
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;

@@ -59,11 +59,6 @@ impl Precision {
             Precision::F16 => "f16",
         }
     }
-
-    /// Storage-byte ratio relative to f32 storage (1.0 or 0.5).
-    pub fn ratio_vs_f32(self) -> f64 {
-        self.bytes_per_element() as f64 / 4.0
-    }
 }
 
 impl std::fmt::Display for Precision {
@@ -205,7 +200,7 @@ pub fn quantize(p: Precision, x: f32) -> f32 {
 ///
 /// Under `F32` this touches nothing — not even the counters — so the
 /// baseline path stays bit- and stats-identical.
-pub fn quantize_slice(p: Precision, data: &mut [f32], stats: &mut ConvStats) {
+pub(crate) fn quantize_slice(p: Precision, data: &mut [f32], stats: &mut ConvStats) {
     match p {
         Precision::F32 => {}
         Precision::Bf16 => {
@@ -225,7 +220,7 @@ pub fn quantize_slice(p: Precision, data: &mut [f32], stats: &mut ConvStats) {
     }
 }
 
-/// Quantizes a matrix's storage in place. See [`quantize_slice`].
+/// Quantizes a matrix's storage in place. See `quantize_slice`.
 pub fn quantize_matrix(p: Precision, m: &mut crate::Matrix, stats: &mut ConvStats) {
     quantize_slice(p, m.as_mut_slice(), stats);
 }
@@ -395,7 +390,6 @@ mod tests {
         assert!(!Precision::Bf16.is_f32());
         assert_eq!(Precision::default(), Precision::F32);
         assert_eq!(Precision::Bf16.to_string(), "bf16");
-        assert!((Precision::F16.ratio_vs_f32() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -979,7 +979,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] on differing shapes.
-    pub fn zip_map<F: Fn(f32, f32) -> f32>(
+    pub(crate) fn zip_map<F: Fn(f32, f32) -> f32>(
         &self,
         rhs: &Matrix,
         op: &'static str,
@@ -1024,18 +1024,6 @@ impl Matrix {
     /// population that MS1's compression exploits.
     pub fn count_below(&self, threshold: f32) -> usize {
         self.data.iter().filter(|v| v.abs() < threshold).count()
-    }
-
-    /// Outer product of two vectors given as slices:
-    /// `lhs ⊗ rhs -> [lhs.len(), rhs.len()]`.
-    pub fn outer(lhs: &[f32], rhs: &[f32]) -> Matrix {
-        let mut out = Matrix::zeros(lhs.len(), rhs.len());
-        for (i, &a) in lhs.iter().enumerate() {
-            for (j, &b) in rhs.iter().enumerate() {
-                out.data[i * rhs.len() + j] = a * b;
-            }
-        }
-        out
     }
 
     /// Horizontal concatenation `[self | rhs]`.
@@ -1481,19 +1469,6 @@ mod tests {
         assert_eq!(a.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(a.row(1), &[1.0, 2.0, 3.0]);
         assert!(a.add_row_broadcast(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn outer_product_matches_matmul_tn() {
-        let u = [1.0f32, 2.0, 3.0];
-        let v = [4.0f32, 5.0];
-        let o = Matrix::outer(&u, &v);
-        assert_eq!(o.rows(), 3);
-        assert_eq!(o.cols(), 2);
-        assert_eq!(o.get(2, 1), 15.0);
-        let um = m(1, 3, &u);
-        let vm = m(1, 2, &v);
-        assert_eq!(o, um.matmul_tn(&vm).unwrap());
     }
 
     #[test]

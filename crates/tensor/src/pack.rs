@@ -18,7 +18,7 @@ use crate::{Matrix, ParallelConfig};
 
 /// Lane width of a packed panel — the register-tile width of the
 /// microkernels (`NR` accumulator columns).
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// The right-hand operand of a GEMM, re-laid-out as `NR`-wide k-major
 /// column panels.
@@ -182,7 +182,7 @@ impl PackedB {
     }
 
     /// Logical reduction depth `k`.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
@@ -192,7 +192,7 @@ impl PackedB {
     }
 
     /// Number of `NR`-wide panels.
-    pub fn panels(&self) -> usize {
+    pub(crate) fn panels(&self) -> usize {
         self.n.div_ceil(NR)
     }
 
@@ -202,7 +202,7 @@ impl PackedB {
     ///
     /// Panics if `idx >= self.panels()`.
     #[inline]
-    pub fn panel(&self, idx: usize) -> &[f32] {
+    pub(crate) fn panel(&self, idx: usize) -> &[f32] {
         assert!(idx < self.panels(), "panel index out of bounds");
         let stride = self.depth * NR;
         debug_assert_eq!(self.data.len(), self.panels() * stride);

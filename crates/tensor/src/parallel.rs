@@ -36,7 +36,7 @@ pub const THREADS_ENV: &str = "ETA_THREADS";
 /// Below this many fused multiply-adds (`m * k * n`) a parallel GEMM
 /// falls back to the serial kernel: thread spawn costs tens of
 /// microseconds, which dominates small products.
-pub const DEFAULT_MIN_KERNEL_FLOPS: usize = 128 * 128 * 128;
+pub(crate) const DEFAULT_MIN_KERNEL_FLOPS: usize = 128 * 128 * 128;
 
 /// Thread count and serial-fallback threshold for the parallel kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,7 +65,7 @@ impl ParallelConfig {
     }
 
     /// One worker per hardware thread.
-    pub fn available() -> Self {
+    pub(crate) fn available() -> Self {
         Self::with_threads(rayon::current_num_threads())
     }
 
@@ -81,7 +81,7 @@ impl ParallelConfig {
 
     /// Whether a `[m, k] x [k, n]` product should run in parallel under
     /// this config.
-    pub fn should_parallelize(&self, m: usize, k: usize, n: usize, rows: usize) -> bool {
+    pub(crate) fn should_parallelize(&self, m: usize, k: usize, n: usize, rows: usize) -> bool {
         // `threads == 0` cannot be built through the constructors
         // (`with_threads` clamps); the contract the spawn sites rely
         // on is that a parallel decision implies at least one full

@@ -54,7 +54,7 @@ use crate::pack::{PackedB, NR};
 /// Environment variable disabling the SIMD path (`off`/`0`/`false`);
 /// any other value — or the variable being unset — leaves it enabled.
 /// Read once per process, like `ETA_THREADS`.
-pub const SIMD_ENV: &str = "ETA_SIMD";
+pub(crate) const SIMD_ENV: &str = "ETA_SIMD";
 
 /// Reduction-depth block: one panel slice (`KC × NR` f32 = 8 KiB)
 /// stays L1-resident across the row tiles of an MC block.
@@ -62,7 +62,7 @@ pub const KC: usize = 256;
 
 /// Row block: the A slice (`MC × KC` f32 = 128 KiB) stays L2-resident
 /// across the panel sweep.
-pub const MC: usize = 128;
+pub(crate) const MC: usize = 128;
 
 /// Whether `ETA_SIMD` permits the SIMD path (cached after first read).
 fn env_allows() -> bool {

@@ -44,30 +44,12 @@ pub struct CompressionStats {
     /// Elements kept (above threshold).
     pub kept: u64,
     /// Dense size in bytes (4 bytes/element).
-    pub dense_bytes: u64,
+    pub(crate) dense_bytes: u64,
     /// Compressed size in bytes (8 bytes/kept element: value + index).
-    pub compressed_bytes: u64,
+    pub(crate) compressed_bytes: u64,
 }
 
 impl CompressionStats {
-    /// Fraction of elements pruned, in `[0, 1]`; 0 for empty input.
-    pub fn prune_ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            1.0 - self.kept as f64 / self.total as f64
-        }
-    }
-
-    /// Compressed size over dense size; 0 for empty input.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.dense_bytes == 0 {
-            0.0
-        } else {
-            self.compressed_bytes as f64 / self.dense_bytes as f64
-        }
-    }
-
     /// Merges another pass's statistics into this one.
     pub fn merge(&mut self, other: &CompressionStats) {
         self.total += other.total;
@@ -100,15 +82,6 @@ impl SparseVec {
         Self::compress(m.as_slice(), threshold)
     }
 
-    /// An empty sparse vector of the given dense length.
-    pub fn empty(dense_len: usize) -> Self {
-        SparseVec {
-            dense_len,
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Original dense length.
     pub fn dense_len(&self) -> usize {
         self.dense_len
@@ -125,23 +98,15 @@ impl SparseVec {
     }
 
     /// Stored values, parallel to [`SparseVec::indices`].
-    pub fn values(&self) -> &[f32] {
+    #[cfg(test)]
+    fn values(&self) -> &[f32] {
         &self.values
-    }
-
-    /// Density `nnz / dense_len`, 0 for an empty vector.
-    pub fn density(&self) -> f64 {
-        if self.dense_len == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / self.dense_len as f64
-        }
     }
 
     /// Compressed size in bytes: 4 bytes value + 4 bytes index per nnz
     /// (the paper's WT data + WT index queue format with explicit `u32`
     /// indices).
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         (self.nnz() * 8) as u64
     }
 
@@ -150,7 +115,7 @@ impl SparseVec {
     /// index encoding the accelerator's DMA compression module uses when
     /// the stream's positions are dense enough that explicit `u32` indices
     /// would waste space.
-    pub fn bitmap_bytes(&self) -> u64 {
+    pub(crate) fn bitmap_bytes(&self) -> u64 {
         (self.dense_len as u64).div_ceil(8) + (self.nnz() * 4) as u64
     }
 
@@ -168,7 +133,7 @@ impl SparseVec {
     }
 
     /// Decodes into a caller-owned buffer, zeroing pruned positions —
-    /// the zero-alloc counterpart of [`decode`] the per-timestep
+    /// the zero-alloc counterpart of [`Self::decode`] the per-timestep
     /// backward path uses with reused workspace storage.
     ///
     /// # Panics
@@ -208,109 +173,6 @@ impl SparseVec {
             out[i as usize] = v * dense[i as usize];
         }
         out
-    }
-
-    /// Serializes to the explicit-index wire format the DMA's WT
-    /// data/index queues carry: a little-endian header
-    /// `[dense_len: u32][nnz: u32]` followed by `nnz` `u32` indices and
-    /// `nnz` `f32` values.
-    pub fn encode_pairs(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.nnz() * 8);
-        out.extend_from_slice(&(self.dense_len as u32).to_le_bytes());
-        out.extend_from_slice(&(self.nnz() as u32).to_le_bytes());
-        for &i in &self.indices {
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        for &v in &self.values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses the [`SparseVec::encode_pairs`] wire format.
-    ///
-    /// Returns `None` on a malformed buffer (truncated, inconsistent
-    /// counts, or out-of-range indices).
-    pub fn decode_pairs(bytes: &[u8]) -> Option<SparseVec> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let dense_len = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let nnz = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        if bytes.len() != 8 + nnz * 8 {
-            return None;
-        }
-        let mut indices = Vec::with_capacity(nnz);
-        for k in 0..nnz {
-            let off = 8 + k * 4;
-            let i = u32::from_le_bytes(bytes[off..off + 4].try_into().ok()?);
-            if i as usize >= dense_len {
-                return None;
-            }
-            indices.push(i);
-        }
-        let mut values = Vec::with_capacity(nnz);
-        for k in 0..nnz {
-            let off = 8 + nnz * 4 + k * 4;
-            values.push(f32::from_le_bytes(bytes[off..off + 4].try_into().ok()?));
-        }
-        Some(SparseVec {
-            dense_len,
-            indices,
-            values,
-        })
-    }
-
-    /// Serializes to the bitmap wire format: `[dense_len: u32]`
-    /// followed by `ceil(dense_len/8)` presence-bit bytes (LSB-first),
-    /// then the kept `f32` values in index order.
-    pub fn encode_bitmap(&self) -> Vec<u8> {
-        let bitmap_len = self.dense_len.div_ceil(8);
-        let mut out = Vec::with_capacity(4 + bitmap_len + self.nnz() * 4);
-        out.extend_from_slice(&(self.dense_len as u32).to_le_bytes());
-        let mut bitmap = vec![0u8; bitmap_len];
-        for &i in &self.indices {
-            bitmap[i as usize / 8] |= 1 << (i % 8);
-        }
-        out.extend_from_slice(&bitmap);
-        for &v in &self.values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses the [`SparseVec::encode_bitmap`] wire format.
-    ///
-    /// Returns `None` on a malformed buffer.
-    pub fn decode_bitmap(bytes: &[u8]) -> Option<SparseVec> {
-        if bytes.len() < 4 {
-            return None;
-        }
-        let dense_len = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let bitmap_len = dense_len.div_ceil(8);
-        if bytes.len() < 4 + bitmap_len {
-            return None;
-        }
-        let bitmap = &bytes[4..4 + bitmap_len];
-        let mut indices = Vec::new();
-        for i in 0..dense_len {
-            if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-                indices.push(i as u32);
-            }
-        }
-        if bytes.len() != 4 + bitmap_len + indices.len() * 4 {
-            return None;
-        }
-        let mut values = Vec::with_capacity(indices.len());
-        for k in 0..indices.len() {
-            let off = 4 + bitmap_len + k * 4;
-            values.push(f32::from_le_bytes(bytes[off..off + 4].try_into().ok()?));
-        }
-        Some(SparseVec {
-            dense_len,
-            indices,
-            values,
-        })
     }
 
     /// Compression statistics this vector represents.
@@ -375,8 +237,6 @@ mod tests {
         assert_eq!(s.kept, 1);
         assert_eq!(s.dense_bytes, 16);
         assert_eq!(s.compressed_bytes, 8);
-        assert!((s.prune_ratio() - 0.75).abs() < 1e-12);
-        assert!((s.compression_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -386,66 +246,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total, 4);
         assert_eq!(a.kept, 3);
-    }
-
-    #[test]
-    fn empty_vector_behaves() {
-        let sv = SparseVec::empty(3);
-        assert_eq!(sv.nnz(), 0);
-        assert_eq!(sv.decode(), vec![0.0; 3]);
-        assert_eq!(sv.density(), 0.0);
-        assert_eq!(SparseVec::empty(0).density(), 0.0);
-    }
-
-    #[test]
-    fn pair_wire_format_round_trips() {
-        let sv = SparseVec::compress(&[0.5, 0.01, -0.7, 0.02, 0.9], 0.1);
-        let bytes = sv.encode_pairs();
-        assert_eq!(bytes.len() as u64, 8 + sv.size_bytes());
-        assert_eq!(SparseVec::decode_pairs(&bytes), Some(sv));
-    }
-
-    #[test]
-    fn bitmap_wire_format_round_trips() {
-        let dense: Vec<f32> = (0..37)
-            .map(|i| {
-                if i % 3 == 0 {
-                    0.5 + i as f32 / 100.0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let sv = SparseVec::compress(&dense, 0.1);
-        let bytes = sv.encode_bitmap();
-        assert_eq!(SparseVec::decode_bitmap(&bytes), Some(sv.clone()));
-        // Bitmap size accounting matches the actual encoding (minus the
-        // 4-byte length header the accounting omits).
-        assert_eq!(bytes.len() as u64, 4 + sv.bitmap_bytes());
-    }
-
-    #[test]
-    fn malformed_wire_buffers_are_rejected() {
-        assert_eq!(SparseVec::decode_pairs(&[]), None);
-        assert_eq!(SparseVec::decode_pairs(&[1, 2, 3]), None);
-        let mut good = SparseVec::compress(&[0.5, 0.6], 0.1).encode_pairs();
-        good.pop();
-        assert_eq!(SparseVec::decode_pairs(&good), None);
-        // Out-of-range index.
-        let mut bad = SparseVec::compress(&[0.5], 0.1).encode_pairs();
-        bad[8] = 200;
-        assert_eq!(SparseVec::decode_pairs(&bad), None);
-        assert_eq!(SparseVec::decode_bitmap(&[0, 0]), None);
-    }
-
-    #[test]
-    fn empty_vector_wire_round_trips() {
-        let sv = SparseVec::empty(10);
-        assert_eq!(
-            SparseVec::decode_pairs(&sv.encode_pairs()),
-            Some(sv.clone())
-        );
-        assert_eq!(SparseVec::decode_bitmap(&sv.encode_bitmap()), Some(sv));
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn snapshot() -> GemmSnapshot {
 /// points; the cost is three relaxed adds per kernel invocation,
 /// negligible next to the O(rows·k·n) work that follows.
 #[inline]
-pub fn record_gemm(rows: usize, k: usize, n: usize) {
+pub(crate) fn record_gemm(rows: usize, k: usize, n: usize) {
     let flops = 2 * (rows as u64) * (k as u64) * (n as u64);
     let bytes = 4 * ((rows * k) as u64 + (k * n) as u64 + (rows * n) as u64);
     FLOPS.fetch_add(flops, Ordering::Relaxed);
@@ -118,19 +118,19 @@ pub fn dispatch_snapshot() -> DispatchSnapshot {
 
 /// Records one GEMM call routed to the AVX2+FMA microkernels.
 #[inline]
-pub fn record_simd_dispatch() {
+pub(crate) fn record_simd_dispatch() {
     SIMD_DISPATCH.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one GEMM call served by the scalar microkernels.
 #[inline]
-pub fn record_scalar_fallback() {
+pub(crate) fn record_scalar_fallback() {
     SCALAR_FALLBACK.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one panel pack that took the parallel packing path.
 #[inline]
-pub fn record_panel_pack_parallel() {
+pub(crate) fn record_panel_pack_parallel() {
     PANEL_PACK_PARALLEL.fetch_add(1, Ordering::Relaxed);
 }
 

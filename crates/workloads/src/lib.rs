@@ -13,7 +13,7 @@
 //! shape and loss placement, not linguistic content.
 //!
 //! - [`spec`] — the Table I configurations;
-//! - [`synth`] — deterministic synthetic task generators implementing
+//! - `synth` — deterministic synthetic task generators implementing
 //!   [`eta_lstm_core::Task`];
 //! - [`metrics`] — accuracy, perplexity, MAE, and BLEU.
 //!
@@ -33,11 +33,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod markov;
+pub(crate) mod markov;
 pub mod metrics;
 pub mod spec;
-pub mod synth;
-pub mod trajectory;
+pub(crate) mod synth;
+pub(crate) mod trajectory;
 
 pub use markov::{MarkovChain, MarkovLmTask};
 pub use spec::{Benchmark, BenchmarkSpec, TaskCategory};

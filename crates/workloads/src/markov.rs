@@ -46,17 +46,18 @@ impl MarkovChain {
     }
 
     /// Token count.
-    pub fn vocab(&self) -> usize {
+    pub(crate) fn vocab(&self) -> usize {
         self.vocab
     }
 
     /// Transition probability `P(next | current)`.
-    pub fn prob(&self, current: usize, next: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn prob(&self, current: usize, next: usize) -> f64 {
         self.transition[current][next]
     }
 
     /// Samples the successor of `current`.
-    pub fn sample_next(&self, current: usize, rng: &mut StdRng) -> usize {
+    pub(crate) fn sample_next(&self, current: usize, rng: &mut StdRng) -> usize {
         let u: f64 = rng.gen();
         let mut acc = 0.0;
         for (j, &p) in self.transition[current].iter().enumerate() {
@@ -69,7 +70,7 @@ impl MarkovChain {
     }
 
     /// Samples a sequence of `len` tokens starting from a random state.
-    pub fn sample_sequence(&self, len: usize, rng: &mut StdRng) -> Vec<usize> {
+    pub(crate) fn sample_sequence(&self, len: usize, rng: &mut StdRng) -> Vec<usize> {
         let mut seq = Vec::with_capacity(len);
         let mut current = rng.gen_range(0..self.vocab);
         for _ in 0..len {
@@ -136,12 +137,6 @@ impl MarkovLmTask {
     pub fn with_batches_per_epoch(mut self, n: usize) -> Self {
         self.batches_per_epoch = n;
         self
-    }
-
-    /// The underlying chain (e.g. to compare the trained loss against
-    /// its conditional entropy).
-    pub fn chain(&self) -> &MarkovChain {
-        &self.chain
     }
 }
 

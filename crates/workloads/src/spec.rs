@@ -65,7 +65,7 @@ impl BenchmarkSpec {
     }
 
     /// The shape at an arbitrary batch size.
-    pub fn shape_with_batch(&self, batch: usize) -> LstmShape {
+    pub(crate) fn shape_with_batch(&self, batch: usize) -> LstmShape {
         LstmShape::new(self.hidden, self.hidden, self.layers, self.seq_len, batch)
     }
 }

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// What the synthetic task asks the model to learn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SynthKind {
+pub(crate) enum SynthKind {
     /// Single-loss classification: the class plants a persistent signal
     /// in a class-specific input slot (IMDB/TREC/bAbI analogue).
     Classification,
@@ -21,9 +21,6 @@ pub enum SynthKind {
     /// and the target is a fixed permutation of it (PTB/WMT analogue —
     /// a learnable token mapping).
     PerStepClassification,
-    /// Single-loss regression: the target is the final step's leading
-    /// input features (WAYMO trajectory analogue).
-    Regression,
 }
 
 /// A deterministic synthetic sequence task.
@@ -77,28 +74,6 @@ impl SyntheticTask {
         }
     }
 
-    /// Single-loss regression with `output_size` targets
-    /// (requires `output_size <= input_size`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output_size > input_size`.
-    pub fn regression(input_size: usize, output_size: usize, seq_len: usize, seed: u64) -> Self {
-        assert!(
-            output_size <= input_size,
-            "regression targets must fit the input width"
-        );
-        SyntheticTask {
-            kind: SynthKind::Regression,
-            input_size,
-            output_size,
-            seq_len,
-            batch_size: 4,
-            batches_per_epoch: 4,
-            seed,
-        }
-    }
-
     /// Overrides the batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
@@ -109,26 +84,6 @@ impl SyntheticTask {
     pub fn with_batches_per_epoch(mut self, n: usize) -> Self {
         self.batches_per_epoch = n;
         self
-    }
-
-    /// Input feature width.
-    pub fn input_size(&self) -> usize {
-        self.input_size
-    }
-
-    /// Output width (classes / vocab / regression dims).
-    pub fn output_size(&self) -> usize {
-        self.output_size
-    }
-
-    /// Sequence length.
-    pub fn seq_len(&self) -> usize {
-        self.seq_len
-    }
-
-    /// Batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
     }
 
     fn rng_for(&self, epoch: usize, index: usize) -> StdRng {
@@ -204,28 +159,6 @@ impl Task for SyntheticTask {
                     targets: Targets::StepClasses(targets),
                 }
             }
-            SynthKind::Regression => {
-                let inputs: Vec<Matrix> = (0..self.seq_len)
-                    .map(|t| {
-                        init::uniform(
-                            self.batch_size,
-                            self.input_size,
-                            -1.0,
-                            1.0,
-                            noise_seed.wrapping_add(t as u64),
-                        )
-                    })
-                    .collect();
-                // Target: the last step's leading features, squashed.
-                let last = &inputs[self.seq_len - 1];
-                let target = Matrix::from_fn(self.batch_size, self.output_size, |r, c| {
-                    (last.get(r, c) * 1.5).tanh()
-                });
-                Batch {
-                    inputs,
-                    targets: Targets::Regression(target),
-                }
-            }
         }
     }
 
@@ -235,7 +168,7 @@ impl Task for SyntheticTask {
 
     fn loss_kind(&self) -> LossKind {
         match self.kind {
-            SynthKind::Classification | SynthKind::Regression => LossKind::SingleLoss,
+            SynthKind::Classification => LossKind::SingleLoss,
             SynthKind::PerStepClassification => LossKind::PerTimestamp,
         }
     }
@@ -293,22 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn regression_target_tracks_last_input() {
-        let t = SyntheticTask::regression(8, 2, 6, 11);
-        let b = t.batch(1, 0);
-        if let Targets::Regression(target) = &b.targets {
-            let last = &b.inputs[5];
-            for r in 0..4 {
-                for c in 0..2 {
-                    assert!((target.get(r, c) - (last.get(r, c) * 1.5).tanh()).abs() < 1e-6);
-                }
-            }
-        } else {
-            panic!("expected regression targets");
-        }
-    }
-
-    #[test]
     fn loss_kinds_match_task_structure() {
         assert_eq!(
             SyntheticTask::classification(4, 2, 3, 0).loss_kind(),
@@ -317,10 +234,6 @@ mod tests {
         assert_eq!(
             SyntheticTask::per_step_classification(4, 2, 3, 0).loss_kind(),
             LossKind::PerTimestamp
-        );
-        assert_eq!(
-            SyntheticTask::regression(4, 2, 3, 0).loss_kind(),
-            LossKind::SingleLoss
         );
     }
 

@@ -55,12 +55,6 @@ impl TrajectoryTask {
         self
     }
 
-    /// Observation noise standard deviation — the MAE floor of any
-    /// single-observation predictor; a good filter beats it.
-    pub fn noise_std(&self) -> f32 {
-        self.noise_std
-    }
-
     fn gaussian(rng: &mut StdRng, std: f32) -> f32 {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);

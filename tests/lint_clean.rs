@@ -1,6 +1,7 @@
-//! Workspace gate: `cargo test` fails if the eta-lint pass (A1, A2,
-//! T1, R1; see `crates/lint`) reports any finding. The rest of the
-//! determinism contract is clippy's, configured in `clippy.toml`.
+//! Workspace gate: `cargo test` fails if the eta-lint pass (A2, T1,
+//! R1; see `crates/lint`) reports any finding. The rest of the
+//! determinism contract is clippy's, configured in `clippy.toml` and
+//! the workspace `[lints]` table.
 
 use std::path::Path;
 
